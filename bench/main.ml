@@ -93,7 +93,31 @@ let memsys_tests () =
                 ~addr:(!line * Machine.line_size)
                 ~now:0)))
   in
-  Test.make_grouped ~name:"memsys" [ hit; miss ]
+  (* Per-instance set-up: [Interp.create] of an empty function, whose
+     cost is dominated by the cache tag arrays (1 MiB for Haswell's L3).
+     "fresh" drops every instance, so each create allocates; "reused"
+     releases each one, so the next create takes the domain's spares. *)
+  let create_tests =
+    let func =
+      let b = Spf_ir.Builder.create ~name:"empty" ~nparams:0 in
+      Spf_ir.Builder.ret b None;
+      Spf_ir.Builder.finish b
+    in
+    let mem = Spf_sim.Memory.create () in
+    let create machine = Interp.create ~machine ~mem ~args:[||] func in
+    List.concat_map
+      (fun (m : Machine.t) ->
+        [
+          Test.make
+            ~name:("interp-create-fresh/" ^ m.Machine.name)
+            (Staged.stage (fun () -> ignore (create m)));
+          Test.make
+            ~name:("interp-create-reused/" ^ m.Machine.name)
+            (Staged.stage (fun () -> Interp.release (create m)));
+        ])
+      Machine.all
+  in
+  Test.make_grouped ~name:"memsys" ([ hit; miss ] @ create_tests)
 
 let run_bechamel () =
   Format.printf "@.=== Microbenchmarks (Bechamel) ===@.";

@@ -157,7 +157,9 @@ let hang_forever (ctx : Runner.ctx) =
       ?engine:ctx.Runner.engine ?cancel:ctx.Runner.cancel
       ~mem:(Spf_sim.Memory.create ()) ~args:[||] func
   in
-  Spf_sim.Interp.run interp
+  Fun.protect
+    ~finally:(fun () -> Spf_sim.Interp.release interp)
+    (fun () -> Spf_sim.Interp.run interp)
 
 (* The per-case job under supervision.  The work function honours the
    supervisor's context (engine override, cancellation token); a

@@ -134,17 +134,20 @@ let execute ?engine ?cancel ~fuel (b : Gen.built) =
     Interp.create ~machine:Spf_sim.Machine.haswell ?engine ?cancel
       ~mem:b.Gen.mem ~args:b.Gen.args b.Gen.func
   in
-  match Interp.run ~fuel interp with
-  | () ->
-      ( Returned
-          {
-            retval = Interp.retval interp;
-            digest = Memory.digest b.Gen.mem;
-          },
-        Interp.stats interp )
-  | exception Interp.Trap { pc; addr; is_store; _ } ->
-      (Trapped { pc; addr; is_store }, Interp.stats interp)
-  | exception Interp.Fuel_exhausted -> (Out_of_fuel, Interp.stats interp)
+  Fun.protect
+    ~finally:(fun () -> Interp.release interp)
+    (fun () ->
+      match Interp.run ~fuel interp with
+      | () ->
+          ( Returned
+              {
+                retval = Interp.retval interp;
+                digest = Memory.digest b.Gen.mem;
+              },
+            Interp.stats interp )
+      | exception Interp.Trap { pc; addr; is_store; _ } ->
+          (Trapped { pc; addr; is_store }, Interp.stats interp)
+      | exception Interp.Fuel_exhausted -> (Out_of_fuel, Interp.stats interp))
 
 let check ?config ?(strict = false) ?engine ?cancel (spec : Gen.spec) : verdict =
   let fuel = Gen.fuel spec in

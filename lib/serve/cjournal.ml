@@ -81,21 +81,49 @@ let identity () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Table-driven hex: every record append encodes its whole payload and
+   every warm start decodes the whole journal, so neither may cost an
+   allocation per byte.  Output is lowercase; input accepts either
+   case. *)
+
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
+(* Digit value of every byte, -1 for non-digits. *)
+let nibbles =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | 'A' .. 'F' -> c - Char.code 'A' + 10
+      | _ -> -1)
 
 let of_hex s =
-  if String.length s mod 2 <> 0 then None
+  let n = String.length s in
+  if n mod 2 <> 0 then None
   else
-    try
-      Some
-        (String.init (String.length s / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
+    let b = Bytes.create (n / 2) in
+    let rec go i =
+      if i >= n / 2 then Some (Bytes.unsafe_to_string b)
+      else
+        let hi = nibbles.(Char.code s.[2 * i])
+        and lo = nibbles.(Char.code s.[(2 * i) + 1]) in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
 
 let tag_of = function Pass _ -> "P" | Sim _ -> "S"
 let key_of = function Pass (k, _) | Sim (k, _) -> k
@@ -119,6 +147,12 @@ let corrupt path msg =
 let validate_key key =
   if key = "" || String.exists (fun c -> c = ' ' || c = '\n' || c = '\r') key
   then invalid_arg ("Cjournal: bad record key " ^ String.escaped key)
+
+type line = string
+
+let encode r =
+  validate_key (key_of r);
+  record_line r
 
 (* ------------------------------------------------------------------ *)
 
@@ -247,11 +281,12 @@ let open_ ~dir =
     replayed = records;
   }
 
-let append t r =
-  validate_key (key_of r);
-  output_string t.oc (record_line r);
+let append_line t line =
+  output_string t.oc line;
   flush t.oc;
   t.appends <- t.appends + 1
+
+let append t r = append_line t (encode r)
 
 let compact t records =
   close_out_noerr t.oc;

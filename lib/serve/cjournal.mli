@@ -43,9 +43,26 @@ val replayed : t -> record list
 (** Records recovered at {!open_}, oldest first (duplicates possible —
     later records win). *)
 
+type line
+(** One record rendered as its complete journal line. *)
+
+val encode : record -> line
+(** Render a record's line (checksum and hex payload) without touching
+    any journal — callers encode before taking their own lock.
+    @raise Invalid_argument if the key is empty or contains whitespace. *)
+
+val append_line : t -> line -> unit
+(** Append one encoded record and flush. *)
+
 val append : t -> record -> unit
-(** Append one record and flush.  @raise Invalid_argument if the key
-    contains whitespace. *)
+(** [append t r] is [append_line t (encode r)]. *)
+
+val to_hex : string -> string
+(** Lowercase hex, two digits per byte — the payload encoding. *)
+
+val of_hex : string -> string option
+(** Inverse of {!to_hex}; accepts either digit case.  [None] on an odd
+    length or any non-hex character. *)
 
 val compact : t -> record list -> unit
 (** Atomically rewrite the journal to exactly [records] (oldest

@@ -142,22 +142,6 @@ type t = {
    payload is one unambiguous space-separated line regardless of IR
    text contents. *)
 
-let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter
-    (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
-    s;
-  Buffer.contents b
-
-let of_hex s =
-  if String.length s mod 2 <> 0 then None
-  else
-    try
-      Some
-        (String.init (String.length s / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2))))
-    with _ -> None
-
 let encode_pass_entry (e : pass_entry) =
   let ld { Pass.header; distance; enabled; dist_slot } =
     Printf.sprintf "%d:%d:%d:%s" header distance
@@ -175,8 +159,10 @@ let encode_pass_entry (e : pass_entry) =
     | Some { Distance.window; min_c; max_c } ->
         Printf.sprintf "%d:%d:%d" window min_c max_c
   in
-  Printf.sprintf "pe1 %s %s %s %s" (to_hex e.tfunc_text)
-    (to_hex e.report_text) lds ad
+  Printf.sprintf "pe1 %s %s %s %s"
+    (Cjournal.to_hex e.tfunc_text)
+    (Cjournal.to_hex e.report_text)
+    lds ad
 
 let decode_pass_entry s =
   let int_opt x = int_of_string_opt x in
@@ -198,7 +184,7 @@ let decode_pass_entry s =
   in
   match String.split_on_char ' ' s with
   | [ "pe1"; tfunc_hex; report_hex; lds; ad ] -> (
-      match (of_hex tfunc_hex, of_hex report_hex) with
+      match (Cjournal.of_hex tfunc_hex, Cjournal.of_hex report_hex) with
       | Some tfunc_text, Some report_text -> (
           let loop_distances =
             if lds = "-" then Some []
@@ -288,26 +274,33 @@ let maybe_compact_locked t =
       if Cjournal.appends j > max 64 (4 * live) then
         Cjournal.compact j (dump_locked t)
 
-let journal_record_locked t r =
+(* Encode a record's journal line before taking the lock, and only when
+   there is a journal: hex-encoding a payload is the bulk of an add, and
+   connection threads serving inline hits wait on the same lock.  The
+   thunk defers building the record (for a pass entry, its encoding). *)
+let add t insert record =
   match t.journal with
-  | None -> ()
+  | None -> locked t insert
   | Some j ->
-      Cjournal.append j r;
-      maybe_compact_locked t
+      let line = Cjournal.encode (record ()) in
+      locked t (fun () ->
+          insert ();
+          Cjournal.append_line j line;
+          maybe_compact_locked t)
 
 let find_pass t key = locked t (fun () -> lru_find t.pass key)
 
 let add_pass t key e =
-  locked t (fun () ->
-      lru_add t.pass key e;
-      journal_record_locked t (Cjournal.Pass (key, encode_pass_entry e)))
+  add t
+    (fun () -> lru_add t.pass key e)
+    (fun () -> Cjournal.Pass (key, encode_pass_entry e))
 
 let find_sim t key = locked t (fun () -> lru_find t.sim key)
 
 let add_sim t key body =
-  locked t (fun () ->
-      lru_add t.sim key body;
-      journal_record_locked t (Cjournal.Sim (key, body)))
+  add t
+    (fun () -> lru_add t.sim key body)
+    (fun () -> Cjournal.Sim (key, body))
 
 let pass_stats t = locked t (fun () -> lru_stats t.pass)
 let sim_stats t = locked t (fun () -> lru_stats t.sim)

@@ -141,8 +141,13 @@ let simulate ~(ctx : Runner.ctx) p (e : Rcache.pass_entry) =
     Interp.create ~machine:p.req.Proto.machine ~tscale:p.req.Proto.tscale
       ?cancel:ctx.Runner.cancel ?tuner ~engine ~mem ~args tfunc
   in
-  Interp.run ~fuel:env.Spf_valid.Model.fuel inst;
-  (Interp.stats inst, Interp.retval inst)
+  (* Every exit — trap, fuel, cancellation included — hands the cache
+     tag arrays back, so the next request on this domain reuses them. *)
+  Fun.protect
+    ~finally:(fun () -> Interp.release inst)
+    (fun () ->
+      Interp.run ~fuel:env.Spf_valid.Model.fuel inst;
+      (Interp.stats inst, Interp.retval inst))
 
 (* Full pipeline for one prepared request; runs on a pool domain.
    @raise on any deliberate failure — the supervisor classifies it. *)

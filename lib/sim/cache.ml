@@ -17,6 +17,7 @@ type t = {
   mask : int; (* sets - 1 when sets is a power of two, else -1 *)
   assoc : int;
   tags : int array; (* sets * assoc, recency-ordered per set; -1 = invalid *)
+  mutable released : bool; (* [tags] handed back to the spare pool *)
 }
 
 (* Every real machine config has power-of-two set counts, so set
@@ -24,14 +25,87 @@ type t = {
    on every cache and TLB probe, making the division measurable. *)
 let mask_of sets = if sets land (sets - 1) = 0 then sets - 1 else -1
 
+(* Spare tag arrays, per domain and keyed by length.  A Haswell L3 is a
+   131,072-word array: allocating and filling a fresh one costs far more
+   than a short simulation, so instances that are done hand theirs back
+   ({!release}) and the next {!create} of the same length on this domain
+   takes a spare instead.  Spares are pooled already invalidated, so a
+   taken one is indistinguishable from a fresh array.  The mutex covers
+   systhreads sharing the domain; it is only taken at create and
+   release, never per access. *)
+type pool = { lock : Mutex.t; spares : (int, int array list) Hashtbl.t }
+
+let pool_key : pool Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { lock = Mutex.create (); spares = Hashtbl.create 8 })
+
+(* Spares kept per length: one memory system can hold two caches of one
+   length (A53's L1 and TLB are both 512 ways), and a create/run/release
+   loop needs no more than one instance's worth. *)
+let max_spares = 2
+
+let with_pool f =
+  let p = Domain.DLS.get pool_key in
+  Mutex.lock p.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) (fun () -> f p.spares)
+
+let take_tags n =
+  let spare =
+    with_pool (fun spares ->
+        match Hashtbl.find_opt spares n with
+        | Some (a :: rest) ->
+            Hashtbl.replace spares n rest;
+            Some a
+        | Some [] | None -> None)
+  in
+  match spare with Some a -> a | None -> Array.make n (-1)
+
+let make ~sets ~assoc =
+  {
+    sets;
+    mask = mask_of sets;
+    assoc;
+    tags = take_tags (sets * assoc);
+    released = false;
+  }
+
 let create ~size ~assoc ~unit_shift =
   let units = size lsr unit_shift in
-  let sets = max 1 (units / assoc) in
-  { sets; mask = mask_of sets; assoc; tags = Array.make (sets * assoc) (-1) }
+  make ~sets:(max 1 (units / assoc)) ~assoc
 
-let create_entries ~entries ~assoc =
-  let sets = max 1 (entries / assoc) in
-  { sets; mask = mask_of sets; assoc; tags = Array.make (sets * assoc) (-1) }
+let create_entries ~entries ~assoc = make ~sets:(max 1 (entries / assoc)) ~assoc
+
+(* Invalidate every way.  The valid ways of a set always form a prefix
+   — every insert moves its key to the front, and no operation
+   invalidates a single way — so each set's scan stops at its first
+   invalid way: an untouched set costs one read, and a short simulation
+   leaves most of a large cache untouched.  (A full [Array.fill] of a
+   Haswell L3 costs about as much as allocating a fresh one.) *)
+let scrub t =
+  let tags = t.tags in
+  for s = 0 to t.sets - 1 do
+    let base = s * t.assoc in
+    let w = ref 0 in
+    while !w < t.assoc && Array.unsafe_get tags (base + !w) <> -1 do
+      Array.unsafe_set tags (base + !w) (-1);
+      incr w
+    done
+  done
+
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    scrub t;
+    let n = Array.length t.tags in
+    with_pool (fun spares ->
+        let held = Option.value (Hashtbl.find_opt spares n) ~default:[] in
+        if List.length held < max_spares then
+          Hashtbl.replace spares n (t.tags :: held))
+  end
+
+let spares () =
+  with_pool (fun spares ->
+      Hashtbl.fold (fun _ l acc -> acc + List.length l) spares 0)
 
 let set_of t key = if t.mask >= 0 then key land t.mask else key mod t.sets
 

@@ -10,7 +10,22 @@ val create : size:int -> assoc:int -> unit_shift:int -> t
     of [1 lsl unit_shift]-byte units. *)
 
 val create_entries : entries:int -> assoc:int -> t
-(** Size by entry count (used for TLBs). *)
+(** Size by entry count (used for TLBs).
+
+    Both constructors reuse a spare tag array of the right length from
+    the calling domain's pool when one exists (see {!release}); spares
+    are pooled empty, so the new cache is indistinguishable from a fresh
+    one. *)
+
+val release : t -> unit
+(** Invalidate the cache's tag array and hand it back to the calling
+    domain's spare pool (which keeps a small fixed number per length and
+    drops the rest).  The cache must not be used afterwards: its array
+    may back the next cache created on this domain.  Releasing twice is
+    a no-op. *)
+
+val spares : unit -> int
+(** Spare tag arrays currently held by the calling domain's pool. *)
 
 val mem : t -> int -> bool
 (** Probe without touching replacement state. *)

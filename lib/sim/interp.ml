@@ -355,6 +355,7 @@ let run ?(fuel = max_int) t =
   if not t.st.S.halted then raise Fuel_exhausted
 
 let poll_cancel t = S.poll_cancel t.st
+let release t = Memsys.release t.st.S.memsys
 
 let stats t = t.st.S.stats
 let cycles t = t.st.S.stats.Stats.cycles

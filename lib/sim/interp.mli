@@ -75,6 +75,15 @@ val poll_cancel : t -> unit
 (** @raise Cancelled if the instance's token has been fired — the
     multicore driver's poll point between core steps. *)
 
+val release : t -> unit
+(** Return the instance's cache and TLB tag arrays to the calling
+    domain's spare pool, so the next {!create} there skips allocating
+    them ({!Memsys.release}).  The instance must not be stepped or run
+    after release — its arrays may already back another instance.  Its
+    {!stats}, {!cycles}, {!retval} and {!memory} stay readable.
+    Releasing twice is a no-op; never releasing is fine too (the arrays
+    are then left to the garbage collector). *)
+
 val stats : t -> Stats.t
 val cycles : t -> int
 (** Elapsed cycles (valid once halted; updated each step). *)

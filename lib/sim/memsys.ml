@@ -69,6 +69,12 @@ let create (m : Machine.t) ~tscale ~dram ~stats ?attrib () =
     last_level = L1;
   }
 
+let release t =
+  Cache.release t.l1;
+  Cache.release t.l2;
+  Option.iter Cache.release t.l3;
+  Cache.release t.tlb
+
 let last_level t = t.last_level
 let stats t = t.stats
 

@@ -26,6 +26,11 @@ val create :
     demand-load outcomes and unused-prefetch evictions are additionally
     bucketed per source loop (profiling and the adaptive tuner). *)
 
+val release : t -> unit
+(** Return the L1, L2, L3 and TLB tag arrays to the calling domain's
+    spare pool ({!Cache.release}).  The memory system must not be
+    accessed afterwards; its {!stats} stay readable. *)
+
 val access : t -> kind:kind -> pc:int -> addr:int -> now:int -> int
 (** Perform an access; returns its completion time.  Demand loads train the
     stride prefetcher under their [pc].  TLB misses are taken (and walks

@@ -74,11 +74,17 @@ let run_one ?cancel ~env ~brk func =
       ~args func
   in
   register_default_intrinsics it func;
-  match Interp.run ~fuel:env.fuel it with
-  | () -> Returned { retval = Interp.retval it; digest = Memory.digest mem }
-  | exception Interp.Trap f ->
-      Trapped { pc = f.Interp.pc; addr = f.Interp.addr; is_store = f.Interp.is_store }
-  | exception Interp.Fuel_exhausted -> Out_of_fuel
+  (* The break binary search calls this many times per case: hand the
+     tag arrays back on every exit so the next run reuses them. *)
+  Fun.protect
+    ~finally:(fun () -> Interp.release it)
+    (fun () ->
+      match Interp.run ~fuel:env.fuel it with
+      | () -> Returned { retval = Interp.retval it; digest = Memory.digest mem }
+      | exception Interp.Trap f ->
+          Trapped
+            { pc = f.Interp.pc; addr = f.Interp.addr; is_store = f.Interp.is_store }
+      | exception Interp.Fuel_exhausted -> Out_of_fuel)
 
 let completes ?cancel ~env ~brk func =
   match run_one ?cancel ~env ~brk func with Returned _ -> true | _ -> false

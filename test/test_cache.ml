@@ -48,6 +48,39 @@ let test_capacity () =
   let c = Cache.create ~size:4096 ~assoc:4 ~unit_shift:6 in
   Alcotest.(check int) "capacity" 64 (Cache.capacity c)
 
+(* A released tag array backs the next cache of the same length on this
+   domain; refilled, it must behave exactly like a fresh one.  The
+   geometry (32 sets x 3 ways) is one no other test uses, so the pool
+   holds no spare of this length beforehand. *)
+let test_release_reuse () =
+  let sets = 32 and assoc = 3 in
+  let size = sets * assoc * 64 in
+  let dirty = Cache.create ~size ~assoc ~unit_shift:6 in
+  for k = 0 to (2 * sets * assoc) - 1 do
+    ignore (Cache.insert dirty k)
+  done;
+  let before = Cache.spares () in
+  Cache.release dirty;
+  Cache.release dirty;
+  Alcotest.(check int) "release pools the array once" (before + 1)
+    (Cache.spares ());
+  let c = Cache.create ~size ~assoc ~unit_shift:6 in
+  Alcotest.(check int) "create takes the spare" before (Cache.spares ());
+  for k = 0 to (2 * sets * assoc) - 1 do
+    Alcotest.(check bool) (Printf.sprintf "probe %d misses" k) false
+      (Cache.mem c k || Cache.access c k)
+  done;
+  (* Fill set 0 way by way: no victim until it holds [assoc] keys. *)
+  for w = 0 to assoc - 1 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "fill %d evicts nothing" w)
+      None
+      (Cache.insert c (w * sets))
+  done;
+  Alcotest.(check (option int)) "a full set evicts its LRU" (Some 0)
+    (Cache.insert c (assoc * sets));
+  Cache.release c
+
 (* Reference model: per-set list, most-recent first. *)
 module Reference = struct
   type t = { sets : int; assoc : int; mutable data : (int * int list) list }
@@ -98,6 +131,27 @@ let prop_matches_reference =
           else Cache.access c key = Reference.access r key)
         ops)
 
+(* Scrubbing on release only rewrites each set's valid prefix; after any
+   operation sequence the reused array must still come back empty. *)
+let prop_released_comes_back_empty =
+  QCheck.Test.make ~name:"released cache comes back empty" ~count:200
+    QCheck.(
+      triple (int_bound 3) (int_range 1 5) (list (pair bool (int_bound 200))))
+    (fun (assoc_sel, sets, ops) ->
+      let assoc = 1 lsl assoc_sel in
+      let entries = sets * assoc in
+      let c = Cache.create_entries ~entries ~assoc in
+      List.iter
+        (fun (is_insert, key) ->
+          if is_insert then ignore (Cache.insert c key)
+          else ignore (Cache.access c key))
+        ops;
+      Cache.release c;
+      let c = Cache.create_entries ~entries ~assoc in
+      let empty = List.for_all (fun (_, key) -> not (Cache.mem c key)) ops in
+      Cache.release c;
+      empty)
+
 let suite =
   [
     Alcotest.test_case "hit after insert" `Quick test_hit_after_insert;
@@ -106,5 +160,7 @@ let suite =
     Alcotest.test_case "mem does not touch LRU" `Quick test_mem_does_not_touch;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "capacity" `Quick test_capacity;
+    Alcotest.test_case "released array reused clean" `Quick test_release_reuse;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_released_comes_back_empty;
   ]

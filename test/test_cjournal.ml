@@ -132,6 +132,60 @@ let test_rejects_bad_key () =
             [ ""; "a b"; "a\nb" ]))
 
 (* ------------------------------------------------------------------ *)
+(* The on-disk record format is pinned byte for byte: journals written
+   by earlier builds must keep replaying, and the same request sequence
+   must keep writing the same file.  The expected line below is the
+   record the original per-byte [Printf "%02x"] encoder wrote for a
+   payload holding every byte value once. *)
+
+let all_bytes = String.init 256 Char.chr
+
+let all_bytes_hex =
+  "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f\
+   202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f\
+   404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f\
+   606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f\
+   808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f\
+   a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf\
+   c0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf\
+   e0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"
+
+let test_record_line_pinned () =
+  with_dir (fun dir ->
+      let j = Cjournal.open_ ~dir in
+      Cjournal.append j (Cjournal.Sim ("sim:pin", all_bytes));
+      Cjournal.close j;
+      let lines =
+        String.split_on_char '\n' (read_file (Filename.concat dir "cache-journal"))
+      in
+      Alcotest.(check string) "record line byte-identical"
+        ("S 4379a331c1eda3b355dac03d8ff6e9bb sim:pin " ^ all_bytes_hex)
+        (List.nth lines 2);
+      Alcotest.(check int) "one record, newline-terminated" 4
+        (List.length lines))
+
+let test_hex_codec () =
+  Alcotest.(check string) "to_hex is lowercase, two digits a byte"
+    all_bytes_hex (Cjournal.to_hex all_bytes);
+  Alcotest.(check (option string)) "of_hex inverts to_hex" (Some all_bytes)
+    (Cjournal.of_hex all_bytes_hex);
+  Alcotest.(check (option string)) "of_hex accepts upper case"
+    (Some all_bytes)
+    (Cjournal.of_hex (String.uppercase_ascii all_bytes_hex));
+  Alcotest.(check (option string)) "empty" (Some "") (Cjournal.of_hex "");
+  List.iter
+    (fun bad ->
+      Alcotest.(check (option string))
+        ("rejects " ^ String.escaped bad)
+        None (Cjournal.of_hex bad))
+    [ "a"; "abc"; "zz"; "0g"; "_1"; "1_"; " 1"; "0x"; "+1"; "-1"; "\xff0" ]
+
+let prop_hex_round_trip =
+  QCheck.Test.make ~name:"hex codec round-trips" ~count:300
+    QCheck.(string_gen QCheck.Gen.char)
+    (fun s -> Cjournal.of_hex (Cjournal.to_hex s) = Some s)
+
+(* ------------------------------------------------------------------ *)
 (* Torn tail: strip the trailing newline plus a few bytes — exactly the
    damage a mid-append SIGKILL can cause.  The journal must open, drop
    only the torn record, report the recovery, and leave the file whole
@@ -263,6 +317,9 @@ let suite =
     Alcotest.test_case "append/reopen replay round-trip" `Quick
       test_replay_round_trip;
     Alcotest.test_case "whitespace keys rejected" `Quick test_rejects_bad_key;
+    Alcotest.test_case "record line pinned" `Quick test_record_line_pinned;
+    Alcotest.test_case "hex codec" `Quick test_hex_codec;
+    QCheck_alcotest.to_alcotest prop_hex_round_trip;
     Alcotest.test_case "torn tail dropped and healed" `Quick
       test_truncated_tail_recovered;
     Alcotest.test_case "flipped byte refuses to load" `Quick

@@ -181,6 +181,43 @@ let test_poison_classified () =
       Alcotest.(check bool) "error message is non-empty" true
         (String.length (Service.describe_error e) > 0)
 
+(* Touches a spread of lines — dirtying every cache level and the TLB —
+   before it traps. *)
+let dirty_then_trap_case =
+  let loads =
+    List.init 32 (fun k ->
+        Printf.sprintf "  %%v.%d = load i32, #%d\n" k (k * 4096 + (k * 64)))
+  in
+  ";; spf-case v1\n!brk 262144\n!fuel 1000\n\
+   func dirty_trap (0 params, entry bb0) {\n\
+   bb0 (entry):\n"
+  ^ String.concat "" loads
+  ^ "  %v.32 = load i32, #1048576\n  ret %v.32\n}\n"
+
+let test_trap_releases_clean () =
+  (* A trapped simulation hands its tag arrays back on the exception
+     path; the next request on this domain reuses them and must answer
+     byte for byte as it would on a fresh cache. *)
+  let fresh =
+    Service.run ~cache:(Rcache.create ()) ~ctx:Runner.null_ctx (prepare_opts [])
+  in
+  let trap =
+    match Proto.request_of ~id:"d" ~opts:[] ~case_text:dirty_then_trap_case with
+    | Ok r -> Service.prepare r
+    | Error e -> Alcotest.fail e
+  in
+  let cache = Rcache.create () in
+  let spares_before = Spf_sim.Cache.spares () in
+  (match Service.run ~cache ~ctx:Runner.null_ctx trap with
+  | _ -> Alcotest.fail "dirtying request did not trap"
+  | exception Spf_sim.Interp.Trap _ -> ());
+  Alcotest.(check bool) "trapped run returned its arrays" true
+    (let s = Spf_sim.Cache.spares () in
+     s >= spares_before && s > 0);
+  let after = Service.run ~cache ~ctx:Runner.null_ctx (prepare_opts []) in
+  Alcotest.(check string) "reply after a trap = reply on a fresh cache"
+    (body_string fresh) (body_string after)
+
 (* ------------------------------------------------------------------ *)
 (* Bench_json: the supervised-overhead field is a number or a
    self-describing skip marker — never null. *)
@@ -379,6 +416,8 @@ let suite =
     Alcotest.test_case "cache-key separation" `Quick test_key_separation;
     Alcotest.test_case "poisoned request classified" `Quick
       test_poison_classified;
+    Alcotest.test_case "trap releases arrays clean" `Quick
+      test_trap_releases_clean;
     Alcotest.test_case "overhead measured" `Quick test_overhead_measured;
     Alcotest.test_case "overhead skip markers" `Quick
       test_overhead_skip_markers;
