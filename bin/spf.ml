@@ -73,11 +73,10 @@ let engine_arg =
     & opt (enum alts) Spf_sim.Engine.default
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Simulator engine: $(b,interp) (classic instruction walker), \
-           $(b,compiled) (pre-decoded micro-op closures) or $(b,tape) \
-           (struct-of-arrays micro-op tape with superblock fall-through, \
-           the default).  All three are bit-identical; tape is \
-           fastest.")
+          "Simulator engine: $(b,interp) (classic instruction walker, \
+           the reference semantics) or $(b,tape) (struct-of-arrays \
+           micro-op tape with superblock fall-through, the default).  \
+           The two are bit-identical; tape is faster.")
 
 type variant = Baseline | Auto | Icc | Manual
 
@@ -594,9 +593,9 @@ let fuzz_cmd =
           ~doc:
             "Differentially compare the simulator engines instead: every \
              generated program (plain and transformed) runs under \
-             $(b,interp), $(b,compiled) and $(b,tape), which must agree \
-             pairwise on the outcome and on every stats counter, cycles \
-             included; a divergence names the disagreeing pair.")
+             $(b,interp) and $(b,tape), which must agree on the outcome \
+             and on every stats counter, cycles included; a divergence \
+             names the first differing counter.")
   in
   let oracle_arg =
     Arg.(

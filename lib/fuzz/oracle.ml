@@ -101,7 +101,7 @@ type verdict =
 
 (* How a campaign checks each case.  [Concrete] is the classic
    differential run (optionally pinning a simulator engine);
-   [Cross_engine] compares every engine pairwise against the others;
+   [Cross_engine] compares the tape engine against the interpreter;
    [Symbolic] backs the concrete run with a translation-validation
    proof-or-counterexample. *)
 type mode =
@@ -199,12 +199,12 @@ let check ?config ?(strict = false) ?engine ?cancel (spec : Gen.spec) : verdict 
 
 (* Run the same program (one identical build per engine) under every
    engine in {!Spf_sim.Engine.all} and require the full observable
-   behaviour to match pairwise: outcome (return value, memory digest,
-   trap site) and every stats counter, timing included.  This is a
-   stronger check than the semantic oracle above -- the engines must
-   agree cycle-for-cycle, not just value-for-value.  A disagreement
-   names the exact engine pair and, when the outcomes agree, the first
-   stats counter that does not. *)
+   behaviour to match the first (the reference interpreter): outcome
+   (return value, memory digest, trap site) and every stats counter,
+   timing included.  This is a stronger check than the semantic oracle
+   above -- the engines must agree cycle-for-cycle, not just
+   value-for-value.  A disagreement names the engine pair and, when the
+   outcomes agree, the first stats counter that does not. *)
 let compare_engines ?cancel ~fuel ~on_transformed builds =
   let runs =
     List.map2
@@ -238,17 +238,11 @@ let compare_engines ?cancel ~fuel ~on_transformed builds =
                })
       | None -> None
   in
-  let rec pairwise = function
-    | [] -> None
-    | r :: rest -> (
-        match List.find_map (mismatch r) rest with
-        | Some d -> Some d
-        | None -> pairwise rest)
-  in
-  match pairwise runs with
+  let reference = List.hd runs in
+  match List.find_map (mismatch reference) (List.tl runs) with
   | Some d -> Error d
   | None ->
-      let _, (o, s) = List.hd runs in
+      let _, (o, s) = reference in
       Ok (o, s)
 
 let check_engines ?config ?(strict = false) ?cancel (spec : Gen.spec) : verdict =

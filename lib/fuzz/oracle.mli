@@ -95,10 +95,10 @@ val check_engines :
   Gen.spec ->
   verdict
 (** One cross-engine differential run: the plain and pass-transformed
-    twins each execute under every engine in {!Spf_sim.Engine.all},
-    which must agree pairwise on the full observable behaviour — outcome
-    {e and} every stats counter, cycles included.  A disagreement
-    surfaces as {!Engine_mismatch} naming the exact engine pair. *)
+    twins each execute under both engines in {!Spf_sim.Engine.all},
+    which must agree on the full observable behaviour — outcome {e and}
+    every stats counter, cycles included.  A disagreement surfaces as
+    {!Engine_mismatch} naming the engine pair. *)
 
 val check_symbolic :
   ?config:Spf_core.Config.t ->

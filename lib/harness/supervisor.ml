@@ -21,14 +21,14 @@ module Stats = Spf_sim.Stats
      timeouts (also retried — a deadline overrun can be scheduling
      noise), and deterministic ones (failed immediately: re-running a
      deterministic simulation reproduces the same failure).
-   - {e engine fallback}: a job whose engine decode raises
-     ({!Spf_sim.Tape.Decode_error} or {!Spf_sim.Compile.Decode_error})
-     is re-run one step down the {!Spf_sim.Engine.fallback} chain
-     (tape -> compiled -> interp) — the engines are bit-identical, so
-     the campaign's numbers are unaffected; each degradation is reported
-     as a note, not a failure, and does not consume a retry.
+   - {e engine fallback}: a job whose tape decode raises
+     {!Spf_sim.Tape.Decode_error} is re-run on the next engine of the
+     {!Spf_sim.Engine.fallback} chain (tape -> interp) — the engines are
+     bit-identical, so the campaign's numbers are unaffected; the
+     degradation is reported as a note, not a failure, and does not
+     consume a retry.
    - {e checkpointing}: with a {!Journal}, each completed job's encoded
-     result is durably recorded by the worker the moment it completes,
+     result is durably appended by the worker the moment it completes,
      and already-journaled jobs are skipped entirely on resume — the
      decoded payload stands in for the run, byte-identical.
    - {e crash bundles}: a permanently-failed job is captured as a
@@ -62,8 +62,7 @@ exception Transient_failure of string
    Transient. *)
 let classify = function
   | S.Cancelled _ -> Timeout
-  | Spf_sim.Compile.Decode_error _ | Spf_sim.Tape.Decode_error _ ->
-      Decode_failure
+  | Spf_sim.Tape.Decode_error _ -> Decode_failure
   | Transient_failure _ | Out_of_memory | Stack_overflow -> Transient
   | Unix.Unix_error _ | Sys_error _ -> Transient
   | S.Trap _ | S.Fuel_exhausted | Failure _ -> Deterministic

@@ -270,9 +270,9 @@ let insert_at_end f ~bid ids =
    block, parameter ids, and every block's instruction ids, kinds (with
    operands rendered exactly — floats by their bit pattern) and
    terminator.  Two functions with equal signatures execute identically
-   instruction-for-instruction, which is what lets the compiled engine
-   cache decoded micro-op programs across rebuilds of the same workload
-   (see Compile in lib/sim).  Printing hints ([name]/[bname]/[fname]) are
+   instruction-for-instruction, which is what lets the tape engine cache
+   decoded micro-op programs across rebuilds of the same workload (see
+   Tape in lib/sim).  Printing hints ([name]/[bname]/[fname]) are
    deliberately excluded so cosmetic renames do not defeat the cache. *)
 
 let signature f =

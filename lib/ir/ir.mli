@@ -152,7 +152,7 @@ val signature : func -> string
 (** Stable, name-independent structural encoding of the function: entry,
     parameters, and every block's instruction ids, kinds (floats by bit
     pattern) and terminator.  Functions with equal signatures execute
-    identically, so the compiled engine uses this as its decode-cache key;
+    identically, so the tape engine uses this as its decode-cache key;
     printing hints are excluded so renames don't defeat caching. *)
 
 val successors : terminator -> int list

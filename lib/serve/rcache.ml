@@ -23,6 +23,7 @@ module Config = Spf_core.Config
 module Machine = Spf_sim.Machine
 module Engine = Spf_sim.Engine
 module Case = Spf_valid.Case
+module Journal = Spf_harness.Journal
 
 (* ------------------------------------------------------------------ *)
 (* Intrusive-list LRU with O(1) find/add/evict.                        *)
@@ -131,7 +132,9 @@ type t = {
   mutex : Mutex.t;
   pass : pass_entry lru;
   sim : string lru;
-  journal : Cjournal.t option;
+  journal : Journal.log option;
+  replayed_pass : int; (* journal records replayed at startup *)
+  replayed_sim : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -160,8 +163,8 @@ let encode_pass_entry (e : pass_entry) =
         Printf.sprintf "%d:%d:%d" window min_c max_c
   in
   Printf.sprintf "pe1 %s %s %s %s"
-    (Cjournal.to_hex e.tfunc_text)
-    (Cjournal.to_hex e.report_text)
+    (Journal.to_hex e.tfunc_text)
+    (Journal.to_hex e.report_text)
     lds ad
 
 let decode_pass_entry s =
@@ -184,7 +187,7 @@ let decode_pass_entry s =
   in
   match String.split_on_char ' ' s with
   | [ "pe1"; tfunc_hex; report_hex; lds; ad ] -> (
-      match (Cjournal.of_hex tfunc_hex, Cjournal.of_hex report_hex) with
+      match (Journal.of_hex tfunc_hex, Journal.of_hex report_hex) with
       | Some tfunc_text, Some report_text -> (
           let loop_distances =
             if lds = "-" then Some []
@@ -212,32 +215,90 @@ let decode_pass_entry s =
       | _ -> None)
   | _ -> None
 
+(* ------------------------------------------------------------------ *)
+(* The journal: the shared append-only log (Spf_harness.Journal) with
+   pass records tagged P and rendered reply bodies tagged S. *)
+
+(* Bump when the rendered reply-body format changes in a way the cache
+   keys cannot see (they digest inputs, not the rendering). *)
+let body_format_version = 1
+
+let pass_tag = "P"
+let sim_tag = "S"
+
+(* Digest over everything that could silently change a cached reply
+   body: the body-format version, every machine model's canonical
+   render, the engine list and the default config's canonical render.
+   A journal written by a build with different semantics is refused. *)
+let identity () =
+  let b = Buffer.create 512 in
+  Buffer.add_string b (Printf.sprintf "body-format %d\n" body_format_version);
+  List.iter
+    (fun m ->
+      Buffer.add_string b (Machine.canonical m);
+      Buffer.add_char b '\n')
+    Machine.all;
+  List.iter
+    (fun e ->
+      Buffer.add_string b (Engine.to_string e);
+      Buffer.add_char b '\n')
+    Engine.all;
+  Buffer.add_string b (Config.canonical Config.default);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let journal_format () =
+  let identity = identity () in
+  {
+    Journal.header = "spf-cache-journal 1";
+    field = "identity";
+    identity;
+    tags = [ pass_tag; sim_tag ];
+    noun = "cache journal";
+    remedy = "start the cache cold";
+    mismatch =
+      (fun ~path ~found ->
+        Printf.sprintf
+          "cache journal %s was written under a different \
+           machine/engine/config identity:\n\
+          \  journal:   %s\n\
+          \  this build: %s\n\
+           (delete it to start the cache cold)"
+          path found identity);
+  }
+
+let pass_record key e =
+  { Journal.tag = pass_tag; key; payload = encode_pass_entry e }
+
+let sim_record key body = { Journal.tag = sim_tag; key; payload = body }
+
 let create ?(pass_cap = 512) ?(sim_cap = 2048) ?journal_dir () =
   let pass = lru_create pass_cap and sim = lru_create sim_cap in
-  let journal =
+  let journal, replayed_pass, replayed_sim =
     match journal_dir with
-    | None -> None
+    | None -> (None, 0, 0)
     | Some dir ->
-        let j = Cjournal.open_ ~dir in
-        (* Replay oldest-first: later duplicates of a key refresh
-           recency, so the restarted LRU ends up in write order. *)
+        let j, records =
+          Journal.open_log (journal_format ()) ~dir ~file:"cache-journal"
+        in
+        (* Replay oldest-first: a later duplicate of a key wins and
+           refreshes its recency, so the restarted LRU ends up in write
+           order. *)
         List.iter
-          (function
-            | Cjournal.Sim (key, body) -> lru_add sim key body
-            | Cjournal.Pass (key, payload) -> (
-                match decode_pass_entry payload with
-                | Some e -> lru_add pass key e
-                | None ->
-                    failwith
-                      (Printf.sprintf
-                         "cache journal %s is not usable: undecodable pass \
-                          entry for key %s (delete it to start the cache \
-                          cold)"
-                         (Cjournal.path j) key)))
-          (Cjournal.replayed j);
-        Some j
+          (fun { Journal.tag; key; payload } ->
+            if tag = sim_tag then lru_add sim key payload
+            else
+              match decode_pass_entry payload with
+              | Some e -> lru_add pass key e
+              | None ->
+                  Journal.refuse j
+                    ("undecodable pass entry for key " ^ key))
+          records;
+        let count tag =
+          List.length (List.filter (fun r -> r.Journal.tag = tag) records)
+        in
+        (Some j, count pass_tag, count sim_tag)
   in
-  { mutex = Mutex.create (); pass; sim; journal }
+  { mutex = Mutex.create (); pass; sim; journal; replayed_pass; replayed_sim }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -260,8 +321,7 @@ let dump_locked t =
     go lru.head;
     !acc
   in
-  collect t.pass (fun k e -> Cjournal.Pass (k, encode_pass_entry e))
-  @ collect t.sim (fun k body -> Cjournal.Sim (k, body))
+  collect t.pass pass_record @ collect t.sim sim_record
 
 (* Compact once the journal holds several times more records than the
    caches hold entries — i.e. once it is mostly evicted/duplicate dead
@@ -271,8 +331,8 @@ let maybe_compact_locked t =
   | None -> ()
   | Some j ->
       let live = Hashtbl.length t.pass.tbl + Hashtbl.length t.sim.tbl in
-      if Cjournal.appends j > max 64 (4 * live) then
-        Cjournal.compact j (dump_locked t)
+      if Journal.appends j > max 64 (4 * live) then
+        Journal.compact j (dump_locked t)
 
 (* Encode a record's journal line before taking the lock, and only when
    there is a journal: hex-encoding a payload is the bulk of an add, and
@@ -282,10 +342,10 @@ let add t insert record =
   match t.journal with
   | None -> locked t insert
   | Some j ->
-      let line = Cjournal.encode (record ()) in
+      let line = Journal.encode (record ()) in
       locked t (fun () ->
           insert ();
-          Cjournal.append_line j line;
+          Journal.append j line;
           maybe_compact_locked t)
 
 let find_pass t key = locked t (fun () -> lru_find t.pass key)
@@ -293,14 +353,14 @@ let find_pass t key = locked t (fun () -> lru_find t.pass key)
 let add_pass t key e =
   add t
     (fun () -> lru_add t.pass key e)
-    (fun () -> Cjournal.Pass (key, encode_pass_entry e))
+    (fun () -> pass_record key e)
 
 let find_sim t key = locked t (fun () -> lru_find t.sim key)
 
 let add_sim t key body =
   add t
     (fun () -> lru_add t.sim key body)
-    (fun () -> Cjournal.Sim (key, body))
+    (fun () -> sim_record key body)
 
 let pass_stats t = locked t (fun () -> lru_stats t.pass)
 let sim_stats t = locked t (fun () -> lru_stats t.sim)
@@ -329,26 +389,26 @@ let journal_stats t =
       | Some j ->
           {
             journaled = true;
-            replayed_pass = Cjournal.replayed_pass j;
-            replayed_sim = Cjournal.replayed_sim j;
-            recovered_truncated = Cjournal.truncated j;
-            appends = Cjournal.appends j;
-            compactions = Cjournal.compactions j;
+            replayed_pass = t.replayed_pass;
+            replayed_sim = t.replayed_sim;
+            recovered_truncated = Journal.truncated j;
+            appends = Journal.appends j;
+            compactions = Journal.compactions j;
           })
 
 let flush_journal t =
   locked t (fun () ->
       match t.journal with
       | None -> ()
-      | Some j -> Cjournal.compact j (dump_locked t))
+      | Some j -> Journal.compact j (dump_locked t))
 
 let close_journal t =
   locked t (fun () ->
       match t.journal with
       | None -> ()
       | Some j ->
-          Cjournal.compact j (dump_locked t);
-          Cjournal.close j)
+          Journal.compact j (dump_locked t);
+          Journal.close j)
 
 (* ------------------------------------------------------------------ *)
 (* Key construction.                                                   *)

@@ -17,8 +17,12 @@ val create : ?pass_cap:int -> ?sim_cap:int -> ?journal_dir:string -> unit -> t
     entries.
 
     When [journal_dir] is given, every insertion is also appended to a
-    crash-safe journal there (see {!Cjournal}) and any existing journal
-    is replayed into the cache first — a restarted daemon starts warm.
+    crash-safe journal there ({!Spf_harness.Journal}: header
+    [spf-cache-journal 1], identity line [identity <digest>], pass
+    records tagged [P], reply bodies tagged [S]) and any existing
+    journal is replayed into the cache first — a restarted daemon starts
+    warm.  The identity digests the body-format version, every machine
+    model, the engine list and the default config.
     @raise Failure if the existing journal is corrupt (beyond a torn
     tail) or was written under a different machine/engine/config
     identity. *)

@@ -20,7 +20,7 @@ type cfg = {
   sim_cap : int;  (** sim-level cache capacity, entries *)
   journal_dir : string option;
       (** crash-safe cache journal directory; replayed on start for a
-          warm cache, snapshotted on drain (see {!Cjournal}) *)
+          warm cache, snapshotted on drain (see {!Spf_harness.Journal}) *)
   max_conns : int;
       (** live-connection admission budget; excess connections get one
           [ERR - busy retry-after=...] line and a close *)

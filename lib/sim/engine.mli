@@ -1,14 +1,13 @@
-(** Execution-engine selector: the classic instruction-record interpreter,
-    the compile-to-closure engine (pre-decoded micro-op closures), or the
-    micro-op tape engine (contiguous struct-of-arrays micro-ops).  All
-    three are bit-identical; [Tape] is the default because it is the
-    fastest. *)
+(** Execution-engine selector: the classic instruction-record
+    interpreter (the reference semantics) or the micro-op tape engine
+    (contiguous struct-of-arrays micro-ops).  The two are bit-identical;
+    [Tape] is the default because it is the faster. *)
 
-type t = Interp | Compiled | Tape
+type t = Interp | Tape
 
 val default : t
-(** [Tape] — pinned bit-identical to [Interp] and [Compiled] by the
-    golden suite and the cross-engine fuzz oracle. *)
+(** [Tape] — pinned bit-identical to [Interp] by the golden suite and
+    the cross-engine fuzz oracle. *)
 
 val to_string : t -> string
 val of_string : string -> t option
@@ -16,5 +15,4 @@ val all : t list
 
 val fallback : t -> t option
 (** The engine a supervisor degrades to when this one fails to decode a
-    program: [Tape -> Some Compiled], [Compiled -> Some Interp],
-    [Interp -> None]. *)
+    program: [Tape -> Some Interp], [Interp -> None]. *)

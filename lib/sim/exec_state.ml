@@ -2,12 +2,12 @@ module Ir = Spf_ir.Ir
 
 (* Execution state and timing helpers shared by the engines.
 
-   The classic interpreter (Interp), the compile-to-closure engine
-   (Compile) and the micro-op tape engine (Tape) all drive exactly this
-   state with exactly these helpers, so their timing bookkeeping cannot
-   drift apart: dispatch/retire, the ROB ring, the in-order demand-miss
-   slots and the memory-operation sequences (bounds check, functional
-   access, Memsys timing, miss-restart penalty) live here once.
+   The classic interpreter (Interp) and the micro-op tape engine (Tape)
+   both drive exactly this state with exactly these helpers, so their
+   timing bookkeeping cannot drift apart: dispatch/retire, the ROB
+   ring, the in-order demand-miss slots and the memory-operation
+   sequences (bounds check, functional access, Memsys timing,
+   miss-restart penalty) live here once.
 
    Time is kept in scaled cycles ([tscale] sub-cycle units) so that
    multi-issue dispatch intervals stay integral. *)
@@ -61,7 +61,7 @@ type t = {
   cancel : cancel option;
   tuner : Tuner.t option;
       (* adaptive-distance controller, ticked after every retired demand
-         load — the same point in all three engines, which is what makes
+         load — the same point in both engines, which is what makes
          adaptive runs engine-independent *)
   mutable rob_slot : int; (* next ROB ring slot (out-of-order only) *)
   mutable cur : int;
@@ -249,7 +249,7 @@ let exec_load t ~pc ~dst ~ty ~addr ~start =
     Memsys.access t.memsys ~kind:Memsys.Demand ~pc ~addr ~now:start
   in
   (* Tick the adaptive-distance controller on every retired demand load —
-     the window boundary is thereby identical in all three engines. *)
+     the window boundary is thereby identical in both engines. *)
   (match t.tuner with Some tu -> Tuner.tick tu ~env:t.env | None -> ());
   match Memsys.last_level t.memsys with
   | Memsys.L1 -> completion

@@ -1,6 +1,5 @@
 (** Execution state and timing helpers shared by the simulator engines
-    (the classic interpreter, the compile-to-closure engine and the
-    micro-op tape engine).  Keeping dispatch/retire, the in-order miss
+    (the classic interpreter and the micro-op tape engine).  Keeping dispatch/retire, the in-order miss
     slots and the memory-operation sequences in one place is what
     guarantees the engines stay bit-identical. *)
 

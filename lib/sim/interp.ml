@@ -20,19 +20,17 @@ module S = Exec_state
      misses").  Software prefetches never stall, which is where the large
      in-order speedups come from.
 
-   The state and the timing/memory helpers live in {!Exec_state}; three
+   The state and the timing/memory helpers live in {!Exec_state}; two
    engines drive them (selected per instance, see {!Engine}):
 
    - the {e classic} engine below walks [Ir.instr] records and
-     pattern-matches every dynamic instruction;
-   - the {e compiled} engine ({!Compile}) pre-decodes each static
-     instruction into a specialized closure once and the hot loop is an
-     indirect call over a flat array;
-   - the {e tape} engine ({!Tape}, the default) flattens the decode into
-     contiguous struct-of-arrays micro-ops and the hot loop is a direct
-     match on an unboxed opcode.
+     pattern-matches every dynamic instruction — the reference
+     semantics;
+   - the {e tape} engine ({!Tape}, the default) decodes each function
+     once into contiguous struct-of-arrays micro-ops and the hot loop is
+     a direct match on an unboxed opcode.
 
-   All three are bit-identical — pinned by the golden suite and the
+   The two are bit-identical — pinned by the golden suite and the
    cross-engine fuzz oracle. *)
 
 let default_tscale = S.default_tscale
@@ -74,10 +72,7 @@ type classic = {
   edges : edge array; (* (pred * nblocks + succ) -> phi parallel copies *)
 }
 
-type impl =
-  | Classic of classic
-  | Compiled of Compile.program
-  | Tape of Tape.program
+type impl = Classic of classic | Tape of Tape.program
 
 type t = {
   st : S.t;
@@ -135,7 +130,7 @@ let create ~machine ?(tscale = default_tscale) ?dram ?stats ?cancel ?attrib
   let tape =
     match engine with
     | Engine.Tape -> Some (Tape.get ~tscale func)
-    | Engine.Compiled | Engine.Interp -> None
+    | Engine.Interp -> None
   in
   let extra_slots =
     match tape with Some p -> Tape.n_extra_slots p | None -> 0
@@ -160,11 +155,7 @@ let create ~machine ?(tscale = default_tscale) ?dram ?stats ?cancel ?attrib
       [] func.Ir.blocks
   in
   let impl =
-    match (engine, tape) with
-    | _, Some p -> Tape p
-    | Engine.Compiled, None -> Compiled (Compile.get ~tscale func)
-    | Engine.Interp, None -> Classic (build_classic func)
-    | Engine.Tape, None -> assert false
+    match tape with Some p -> Tape p | None -> Classic (build_classic func)
   in
   { st; impl; call_sites }
 
@@ -323,7 +314,6 @@ let step_classic (c : classic) st =
 let step t =
   match t.impl with
   | Classic c -> step_classic c t.st
-  | Compiled p -> Compile.step p t.st
   | Tape p -> Tape.step p t.st
 
 (* Cancellation poll mask: the engines check the token every [poll_mask
@@ -338,13 +328,6 @@ let run ?(fuel = max_int) t =
       let st = t.st in
       while (not st.S.halted) && !steps < fuel do
         ignore (step_classic c st);
-        incr steps;
-        if !steps land poll_mask = 0 then S.poll_cancel st
-      done
-  | Compiled p ->
-      let st = t.st in
-      while (not st.S.halted) && !steps < fuel do
-        ignore (Compile.step p st);
         incr steps;
         if !steps land poll_mask = 0 then S.poll_cancel st
       done

@@ -53,9 +53,9 @@ val create :
   t
 (** Instantiate an execution of [func] with parameter values [args] over
     the given memory.  Pass a shared [dram] to model multicore bandwidth
-    contention.  [engine] selects the classic instruction walker, the
-    compile-to-closure engine or the micro-op tape engine (default
-    {!Engine.default}); all three are bit-identical.  [attrib] buckets
+    contention.  [engine] selects the classic instruction walker or the
+    micro-op tape engine (default {!Engine.default}); the two are
+    bit-identical.  [attrib] buckets
     memory behaviour per source loop; [tuner] drives adaptive distance
     registers — both engine-independent. *)
 

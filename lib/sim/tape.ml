@@ -4,15 +4,14 @@ module S = Exec_state
 
 (* Micro-op tape execution engine.
 
-   The closure engine (Compile) already decodes each static instruction
-   once, but its decode product is an array of heap-allocated closures:
-   every retired instruction costs an indirect call, and every operand
-   read costs a second indirect call through a captured reader closure.
-   The tape engine flattens the same decode into contiguous
+   Each static instruction is decoded once into contiguous
    struct-of-arrays storage — an int opcode array plus parallel operand /
    destination / latency arrays — so the hot loop is a direct [match] on
    an unboxed opcode (a jump table), with zero closure captures and zero
-   allocation per retired instruction.
+   allocation per retired instruction, instead of the classic
+   interpreter's pattern match over [Ir.instr] records.  A GEP whose
+   single use is the very next load/store's address fuses into that
+   memory micro-op ({!fusable}).
 
    Operands are unified into plain slot indices: SSA values keep their
    instruction ids, and immediates are materialized once into trailing
@@ -39,15 +38,16 @@ module S = Exec_state
 
    Every micro-op drives the shared {!Exec_state} with the shared
    dispatch/retire/memory helpers in exactly the interpreter's order, so
-   the engine is bit-identical to the other two: same Stats, same
-   Trap/Fuel_exhausted/Cancelled behaviour, same multicore schedule.
+   the engine is bit-identical to the classic interpreter: same Stats,
+   same Trap/Fuel_exhausted/Cancelled behaviour, same multicore schedule.
    The golden suite, the cross-engine fuzz oracle and the symbolic
    validator pin this.
 
    Decoded tapes are cached per domain, keyed by (tscale, structural
-   signature), like the closure engine's cache.  The phi-copy scratch
-   buffers are written and fully consumed inside one block boundary and
-   are therefore safe to share between instances on one domain. *)
+   signature), so sweeps that rebuild and re-run one workload function
+   decode once per domain.  The phi-copy scratch buffers are written and
+   fully consumed inside one block boundary and are therefore safe to
+   share between instances on one domain. *)
 
 (* --- opcode space -------------------------------------------------------
 
@@ -176,6 +176,26 @@ let init_consts p (st : S.t) =
   Array.blit p.const_fenv 0 st.S.fenv p.n_base m
 
 (* --- decode ------------------------------------------------------------- *)
+
+(* GEP fusion legality: [g] is a GEP whose value has exactly one use —
+   the immediately following load/store [nxt]'s address operand (for a
+   store, the stored value is not the GEP itself) — and no terminator
+   use (phi uses appear in [Usedef.uses], so a phi reader also blocks
+   fusion).  The fused micro-op still performs both instructions' full
+   timing sequences (two instruction counts, two dispatches, two
+   retirements); what it elides is the env/ready round-trip through the
+   GEP's SSA slot, which the single-use condition makes unobservable. *)
+let fusable usedef (g : Ir.instr) (nxt : Ir.instr) =
+  match g.Ir.kind with
+  | Ir.Gep _ -> (
+      match (Usedef.uses usedef g.Ir.id, Usedef.term_uses usedef g.Ir.id) with
+      | [ u ], [] when u = nxt.Ir.id -> (
+          match nxt.Ir.kind with
+          | Ir.Load (_, Ir.Var a) -> a = g.Ir.id
+          | Ir.Store (_, Ir.Var a, v) -> a = g.Ir.id && v <> Ir.Var g.Ir.id
+          | _ -> false)
+      | _ -> false)
+  | _ -> false
 
 exception Decode_error of string
 
@@ -332,7 +352,7 @@ let decode_raw ~tsc func : program =
                match i.Ir.kind with Ir.Phi _ -> None | _ -> Some i)
       in
       let rec go = function
-        | g :: nxt :: rest when Compile.fusable usedef g nxt ->
+        | g :: nxt :: rest when fusable usedef g nxt ->
             emit_fused g nxt;
             go rest
         | i :: rest ->
@@ -442,7 +462,7 @@ let decode ~tscale func : program =
   | e ->
       (* Anything escaping decode means this engine cannot run the
          program; wrapping it lets a supervisor distinguish "the tape
-         engine choked" (fall back to the closure engine) from "the
+         engine choked" (fall back to the classic interpreter) from "the
          program is bad" (fail the job). *)
       raise (Decode_error (Printexc.to_string e))
 

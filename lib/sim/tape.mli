@@ -6,17 +6,16 @@
     edges (interior edges become fall-through seams with pre-planned phi
     copies).  The hot loop is a direct match on an unboxed opcode — no
     closure captures, no allocation per retired instruction.
-    Bit-identical to {!Interp}'s classic path and to {!Compile}: all
-    three drive the shared {!Exec_state} with the shared timing/memory
-    helpers. *)
+    Bit-identical to {!Interp}'s classic path: both drive the shared
+    {!Exec_state} with the shared timing/memory helpers. *)
 
 type program
 
 exception Decode_error of string
 (** Decode-time failure of this engine: any exception escaping {!decode}
     is wrapped so a supervisor can tell "the tape engine cannot handle
-    this program" (retry on the closure engine) apart from a failure of
-    the program itself. *)
+    this program" (retry on the classic interpreter) apart from a failure
+    of the program itself. *)
 
 val decode : tscale:int -> Spf_ir.Ir.func -> program
 (** Decode without consulting the cache.

@@ -6,7 +6,7 @@
 
    Determinism and engine-independence are structural: the window is
    counted in retired demand loads (`Exec_state.exec_load` ticks the tuner
-   after every demand access, identically in all three engines), the
+   after every demand access, identically in both engines), the
    inputs are integer counter deltas, and the policy is pure integer
    arithmetic — so a fixed program + config re-tunes at the same points to
    the same distances on every run and under every engine. *)

@@ -38,21 +38,6 @@ let magic = ";; spf-case v1"
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let hex_of_bytes (b : Bytes.t) =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-  Buffer.contents buf
-
-let bytes_of_hex ~line s =
-  let n = String.length s in
-  if n mod 2 <> 0 then
-    raise (Parser.Parse_error { line; msg = "odd hex string in !mem" });
-  Bytes.init (n / 2)
-    (fun i ->
-      match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
-      | Some v -> Char.chr v
-      | None -> raise (Parser.Parse_error { line; msg = "bad hex in !mem" }))
-
 (* Non-zero spans of a memory image, greedily merged so that short zero
    gaps don't multiply directives. *)
 let spans_of_mem mem =
@@ -102,7 +87,7 @@ let to_string t =
   List.iter
     (fun (addr, bytes) ->
       Buffer.add_string buf
-        (Printf.sprintf "!mem %d %s\n" addr (hex_of_bytes (Bytes.of_string bytes))))
+        (Printf.sprintf "!mem %d %s\n" addr (Spf_harness.Journal.to_hex bytes)))
     t.writes;
   Buffer.add_string buf (Printer.func_to_string t.func);
   Buffer.contents buf
@@ -125,10 +110,11 @@ let parse text =
         | [ "!arg"; v ] -> args := int_of_string v :: !args
         | [ "!brk"; v ] -> brk := int_of_string v
         | [ "!fuel"; v ] -> fuel := int_of_string v
-        | [ "!mem"; a; hex ] ->
-            writes :=
-              (int_of_string a, Bytes.to_string (bytes_of_hex ~line hex))
-              :: !writes
+        | [ "!mem"; a; hex ] -> (
+            match Spf_harness.Journal.of_hex hex with
+            | Some bytes -> writes := (int_of_string a, bytes) :: !writes
+            | None ->
+                raise (Parser.Parse_error { line; msg = "bad hex in !mem" }))
         | _ ->
             raise (Parser.Parse_error { line; msg = "unknown case directive: " ^ s })
       end

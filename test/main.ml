@@ -29,11 +29,11 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("pool", Test_pool.suite);
       ("supervisor", Test_supervisor.suite);
-      ("checkpoint", Test_checkpoint.suite);
+      ("checkpoint", Test_checkpoint.suite @ Test_journal.checkpoint_damage);
       ("engine", Test_engine.suite);
       ("tape", Test_tape.suite);
       ("golden", Test_golden.suite);
       ("serve", Test_serve.suite);
       ("proto-fuzz", Test_proto_fuzz.suite);
-      ("cache-journal", Test_cjournal.suite);
+      ("cache-journal", Test_journal.suite);
     ]

@@ -7,7 +7,7 @@ module Replay = Spf_fuzz.Replay
 module Gen = Spf_fuzz.Gen
 module Rng = Spf_workloads.Rng
 
-(* Durable campaign state: checkpoint journals (atomic, versioned,
+(* Durable campaign state: checkpoint journals (append-only, versioned,
    strictly validated) and self-contained crash bundles.  See
    docs/ROBUSTNESS.md for the on-disk formats. *)
 
@@ -76,37 +76,40 @@ let read_back path =
   close_in ic;
   s
 
-let test_journal_corruption_rejected () =
-  (* Garbage file. *)
-  let dir = fresh_dir () in
-  let j = Journal.start ~dir ~campaign:"c" in
-  write_file (Journal.file j) "not a journal at all\n";
-  expect_rejected "garbage" dir;
-  (* Bit-flipped payload byte: the per-record checksum must catch it. *)
-  let dir = fresh_dir () in
-  let j = Journal.start ~dir ~campaign:"c" in
-  Journal.record j ~key:"cell/0" ~payload:"payload";
-  (let lines = String.split_on_char '\n' (read_back (Journal.file j)) in
-   let flip line =
-     (* The record line ends with the hex payload; nudge its last digit. *)
-     let n = String.length line in
-     let last = if line.[n - 1] = '0' then '1' else '0' in
-     String.sub line 0 (n - 1) ^ String.make 1 last
-   in
-   let lines =
-     List.mapi (fun i l -> if i = 2 then flip l else l) lines
-   in
-   write_file (Journal.file j) (String.concat "\n" lines));
-  expect_rejected "bit-flipped" dir;
-  (* Truncated mid-record, as a kill mid-write would NOT produce (writes
-     are atomic renames) but a failing disk could. *)
+let test_journal_truncations () =
+  (* A cut final record is exactly what a SIGKILL mid-append leaves: the
+     record is dropped, the file compacted at once, and the next start
+     is clean. *)
   let dir = fresh_dir () in
   let j = Journal.start ~dir ~campaign:"c" in
   Journal.record j ~key:"cell/0" ~payload:"a long enough payload";
   let contents = read_back (Journal.file j) in
   write_file (Journal.file j)
     (String.sub contents 0 (String.length contents - 7));
-  expect_rejected "truncated" dir
+  let j = Journal.start ~dir ~campaign:"c" in
+  Alcotest.(check int) "torn record dropped" 0 (Journal.completed j);
+  let healed = "spf-checkpoint 2\ncampaign c\n" in
+  Alcotest.(check string) "compacted to a whole file" healed
+    (read_back (Journal.file j));
+  let j = Journal.start ~dir ~campaign:"c" in
+  Alcotest.(check int) "next start is clean" 0 (Journal.completed j);
+  Alcotest.(check string) "and leaves the file alone" healed
+    (read_back (Journal.file j));
+  (* A cut inside the file — every line still newline-terminated, so
+     there is no torn tail to excuse it — is damage, refused. *)
+  let dir = fresh_dir () in
+  let j = Journal.start ~dir ~campaign:"c" in
+  List.iter
+    (fun i ->
+      Journal.record j ~key:(Printf.sprintf "cell/%d" i)
+        ~payload:"a long enough payload")
+    [ 0; 1; 2 ];
+  let contents = read_back (Journal.file j) in
+  let n = String.length contents in
+  write_file (Journal.file j)
+    (String.sub contents 0 (n / 2)
+    ^ String.sub contents ((n / 2) + 20) (n - (n / 2) - 20));
+  expect_rejected "cut mid-file" dir
 
 let test_bundle_roundtrip () =
   let root = fresh_dir () in
@@ -237,6 +240,55 @@ let test_kill_mid_campaign_resume () =
     [ 1; 1; 1; 1; 1; 1 ]
     (Array.to_list executions)
 
+let test_torn_record_resume () =
+  (* A kill mid-append tears at most the journal's last record: chop it,
+     resume, and only that cell re-runs — with the values of an
+     uninterrupted run. *)
+  let dir = fresh_dir () in
+  let campaign = "ints" in
+  let encode (v : int) = Marshal.to_string v []
+  and decode s = try Some (Marshal.from_string s 0 : int) with _ -> None in
+  let executions = Array.make 4 0 in
+  let job i =
+    {
+      Sup.key = Printf.sprintf "cell/%d" i;
+      work =
+        (fun _ctx ->
+          executions.(i) <- executions.(i) + 1;
+          100 + i);
+      binfo = None;
+    }
+  in
+  ignore (Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 4 job));
+  let path = Filename.concat dir "journal" in
+  let contents = read_back path in
+  (* Workers append in completion order; the last line's key is the cell
+     the cut tears. *)
+  let torn =
+    let lines = String.split_on_char '\n' contents in
+    List.nth (String.split_on_char ' ' (List.nth lines (List.length lines - 2))) 2
+  in
+  write_file path (String.sub contents 0 (String.length contents - 5));
+  let second =
+    Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 4 job)
+  in
+  let keys = List.init 4 (Printf.sprintf "cell/%d") in
+  Alcotest.(check (list int))
+    "values identical to an uninterrupted run" [ 100; 101; 102; 103 ]
+    (List.map
+       (function Ok o -> o.Sup.value | Error _ -> Alcotest.fail "unexpected failure")
+       second);
+  Alcotest.(check (list bool))
+    "only the torn cell re-ran"
+    (List.map (fun k -> k <> torn) keys)
+    (List.map (function Ok o -> o.Sup.resumed | Error _ -> false) second);
+  Alcotest.(check (list int))
+    "the torn cell ran twice, every other cell once"
+    (List.map (fun k -> if k = torn then 2 else 1) keys)
+    (Array.to_list executions);
+  Alcotest.(check int) "the journal is whole again" 4
+    (Journal.completed (Journal.start ~dir ~campaign))
+
 let test_fuzz_payload_roundtrip () =
   let spec = Gen.random (Rng.split ~seed:3 17) in
   let p = Replay.payload ~mode:(Spf_fuzz.Oracle.Concrete None) spec in
@@ -267,8 +319,8 @@ let suite =
       test_journal_roundtrip;
     Alcotest.test_case "journal rejects a different campaign" `Quick
       test_journal_campaign_mismatch;
-    Alcotest.test_case "corrupt and truncated journals rejected" `Quick
-      test_journal_corruption_rejected;
+    Alcotest.test_case "torn tail healed, inner cut refused" `Quick
+      test_journal_truncations;
     Alcotest.test_case "bundle round-trips and detects tampering" `Quick
       test_bundle_roundtrip;
     Alcotest.test_case "supervised fuzz summary equals raw" `Quick
@@ -277,6 +329,8 @@ let suite =
       `Quick test_crash_then_resume_matches_raw;
     Alcotest.test_case "kill after N cells, resume skips them" `Quick
       test_kill_mid_campaign_resume;
+    Alcotest.test_case "torn last record re-runs on resume" `Quick
+      test_torn_record_resume;
     Alcotest.test_case "fuzz bundle payload round-trips" `Quick
       test_fuzz_payload_roundtrip;
     Alcotest.test_case "figure cells replay from the registry" `Quick

@@ -5,15 +5,14 @@ module Interp = Spf_sim.Interp
 module Machine = Spf_sim.Machine
 module Stats = Spf_sim.Stats
 module Engine = Spf_sim.Engine
-module Compile = Spf_sim.Compile
 module Benches = Spf_harness.Benches
 module Runner = Spf_harness.Runner
 
-(* Cross-engine equivalence: the compiled (closure) engine and the
-   micro-op tape engine must both be bit-identical to the classic
-   interpreter — same return value, same fourteen stats counters, same
-   traps and same fuel behaviour — on fused-GEP code, intrinsic calls,
-   both timing models, and the real benchmark kernels. *)
+(* Cross-engine equivalence: the micro-op tape engine must be
+   bit-identical to the classic interpreter — same return value, same
+   fourteen stats counters, same traps and same fuel behaviour — on
+   fused-GEP code, intrinsic calls, both timing models, and the real
+   benchmark kernels. *)
 
 let run_with ~engine ?(machine = Machine.haswell) ?(fuel = 10_000_000)
     ~mem ~args func =
@@ -22,30 +21,24 @@ let run_with ~engine ?(machine = Machine.haswell) ?(fuel = 10_000_000)
   (Interp.retval interp, Interp.stats interp)
 
 (* Run [build] (a fresh memory/args/func per engine so no run sees
-   another's side effects) under every engine and insist on equality
-   with the classic interpreter, naming the engine and the first
-   diverging stats counter in the failure message. *)
+   another's side effects) under both engines and insist on equality,
+   naming the first diverging stats counter in the failure message. *)
 let check_both ?machine ?fuel ~what build =
   let run engine =
     let mem, args, func = build () in
     run_with ~engine ?machine ?fuel ~mem ~args func
   in
   let ret_i, st_i = run Engine.Interp in
-  List.iter
-    (fun engine ->
-      let name = Engine.to_string engine in
-      let ret_e, st_e = run engine in
-      if ret_i <> ret_e then
-        Alcotest.failf "%s: retval differs: interp=%s %s=%s" what
-          (match ret_i with Some v -> string_of_int v | None -> "none")
-          name
-          (match ret_e with Some v -> string_of_int v | None -> "none");
-      match Stats.first_mismatch st_i st_e with
-      | None -> ()
-      | Some (field, i, e) ->
-          Alcotest.failf "%s: stats diverge at %s: interp=%d %s=%d" what field
-            i name e)
-    [ Engine.Compiled; Engine.Tape ]
+  let ret_t, st_t = run Engine.Tape in
+  if ret_i <> ret_t then
+    Alcotest.failf "%s: retval differs: interp=%s tape=%s" what
+      (match ret_i with Some v -> string_of_int v | None -> "none")
+      (match ret_t with Some v -> string_of_int v | None -> "none");
+  match Stats.first_mismatch st_i st_t with
+  | None -> ()
+  | Some (field, i, t) ->
+      Alcotest.failf "%s: stats diverge at %s: interp=%d tape=%d" what field
+        i t
 
 let test_sum_kernel () =
   check_both ~what:"sum kernel" (fun () ->
@@ -55,7 +48,7 @@ let test_sum_kernel () =
 
 let test_fused_gep_store () =
   (* b[a[i]]++ : both the load and the store consume single-use GEPs, so
-     this exercises the compiled engine's fused micro-ops on both paths. *)
+     this exercises the tape engine's fused micro-ops on both paths. *)
   check_both ~what:"is-like kernel (fused geps)" (fun () ->
       let mem = Memory.create () in
       let n = 256 in
@@ -107,18 +100,13 @@ let test_benches_agree () =
              value divergence would already fail the run; what's left to
              compare is the timing/stats fingerprint. *)
           let r_i = Runner.run ~engine:Engine.Interp ~machine:Machine.haswell (build ()) in
-          List.iter
-            (fun engine ->
-              let r_e = Runner.run ~engine ~machine:Machine.haswell (build ()) in
-              match Stats.first_mismatch r_i.Runner.stats r_e.Runner.stats with
-              | None -> ()
-              | Some (field, i, e) ->
-                  Alcotest.failf
-                    "%s/%s: engine divergence at %s: interp=%d %s=%d" b.id
-                    variant field i
-                    (Engine.to_string engine)
-                    e)
-            [ Engine.Compiled; Engine.Tape ])
+          let r_t = Runner.run ~engine:Engine.Tape ~machine:Machine.haswell (build ()) in
+          match Stats.first_mismatch r_i.Runner.stats r_t.Runner.stats with
+          | None -> ()
+          | Some (field, i, t) ->
+              Alcotest.failf
+                "%s/%s: engine divergence at %s: interp=%d tape=%d" b.id
+                variant field i t)
         [
           ("plain", fun () -> b.plain ());
           ("auto", fun () -> Benches.auto (b.plain ()));
@@ -141,16 +129,12 @@ let test_trap_identical () =
     | _ -> Alcotest.fail "out-of-range load did not trap"
     | exception Interp.Trap f -> f
   in
-  let fi = fault Engine.Interp in
-  List.iter
-    (fun engine ->
-      let fc = fault engine in
-      Alcotest.(check int) "same faulting pc" fi.Interp.pc fc.Interp.pc;
-      Alcotest.(check int) "same faulting addr" fi.Interp.addr fc.Interp.addr;
-      Alcotest.(check int) "same faulting width" fi.Interp.width fc.Interp.width;
-      Alcotest.(check bool)
-        "same access kind" fi.Interp.is_store fc.Interp.is_store)
-    [ Engine.Compiled; Engine.Tape ]
+  let fi = fault Engine.Interp and ft = fault Engine.Tape in
+  Alcotest.(check int) "same faulting pc" fi.Interp.pc ft.Interp.pc;
+  Alcotest.(check int) "same faulting addr" fi.Interp.addr ft.Interp.addr;
+  Alcotest.(check int) "same faulting width" fi.Interp.width ft.Interp.width;
+  Alcotest.(check bool)
+    "same access kind" fi.Interp.is_store ft.Interp.is_store
 
 let test_fuel_identical () =
   let build () =
@@ -191,23 +175,6 @@ let test_intrinsic_identical () =
         (Some 42) (Interp.retval interp))
     Engine.all
 
-let test_decode_cache_hits () =
-  (* Two structurally identical functions (fresh Builder each time, so
-     physical identity differs) must decode once: the second [create]
-     hits the per-domain cache via the structural signature. *)
-  let hits0, _ = Compile.cache_counters () in
-  let mk () =
-    let mem = Memory.create () in
-    let base = Memory.alloc_i32_array mem (Array.init 16 (fun i -> i)) in
-    run_with ~engine:Engine.Compiled ~mem ~args:[| base |]
-      (Helpers.sum_kernel ~n:16)
-  in
-  let r1 = mk () in
-  let r2 = mk () in
-  Alcotest.(check bool) "same result" true (r1 = r2);
-  let hits1, _ = Compile.cache_counters () in
-  Alcotest.(check bool) "decode cache hit recorded" true (hits1 > hits0)
-
 let suite =
   [
     Alcotest.test_case "sum kernel" `Quick test_sum_kernel;
@@ -218,5 +185,4 @@ let suite =
     Alcotest.test_case "traps identical" `Quick test_trap_identical;
     Alcotest.test_case "fuel identical" `Quick test_fuel_identical;
     Alcotest.test_case "intrinsics identical" `Quick test_intrinsic_identical;
-    Alcotest.test_case "decode cache hits" `Quick test_decode_cache_hits;
   ]

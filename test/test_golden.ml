@@ -43,7 +43,7 @@ let golden =
        two explicit look-aheads, and under the Adaptive provider with the
        windowed tuner attached.  Adaptive is bit-deterministic for a fixed
        program + config — the tuner ticks at retired demand loads, which
-       all three engines count identically — so its rows pin exact
+       both engines count identically — so its rows pin exact
        numbers like every other. *)
     ("Haswell", "IS", "fixed16", (5238351, 5242886, 786432, 524288));
     ("Haswell", "IS", "fixed128", (3548215, 5242886, 786432, 524288));
@@ -126,10 +126,11 @@ let check_one ~engine (mname, bid, variant, (cycles, insts, loads, swpf)) () =
         (Spf_sim.Engine.to_string engine)
         field want got
 
-(* Every golden row runs under ALL THREE execution engines
-   (interp/compiled/tape): the pre-decoded engines must land on the same
-   cycle, not just the same answer — the distance-provider rows included,
-   which additionally pin the adaptive tuner's bit-determinism. *)
+(* Every golden row runs under BOTH execution engines (interp/tape): the
+   pre-decoded tape engine must land on the same cycle as the reference
+   interpreter, not just the same answer — the distance-provider rows
+   included, which additionally pin the adaptive tuner's
+   bit-determinism. *)
 let suite =
   List.concat_map
     (fun engine ->

@@ -101,6 +101,17 @@ let test_hit_matches_cold () =
         (body_string cold) (body_string rerun))
     Engine.all
 
+let test_compiled_engine_refused () =
+  (* Only interp and tape exist: any other engine name, the removed
+     "compiled" included, is a protocol error, not an alias. *)
+  match
+    Proto.request_of ~id:"c" ~opts:[ ("engine", "compiled") ]
+      ~case_text:(Lazy.force case_text)
+  with
+  | Ok _ -> Alcotest.fail "engine=compiled was accepted"
+  | Error e ->
+      Alcotest.(check string) "classified message" "unknown engine \"compiled\"" e
+
 let test_pass_hit_on_machine_change () =
   (* Same program and pass config on a different machine: the compile
      memo applies (the pass is machine-independent under the static
@@ -411,6 +422,8 @@ let suite =
     Alcotest.test_case "sim re-insert dedups" `Quick test_sim_reinsert_dedups;
     Alcotest.test_case "hit body = cold body, all engines" `Quick
       test_hit_matches_cold;
+    Alcotest.test_case "engine=compiled refused" `Quick
+      test_compiled_engine_refused;
     Alcotest.test_case "machine change pass-hits" `Quick
       test_pass_hit_on_machine_change;
     Alcotest.test_case "cache-key separation" `Quick test_key_separation;

@@ -28,9 +28,6 @@ let test_classifier () =
   check "deadline cancellation is a timeout"
     (Spf_sim.Exec_state.Cancelled (Spf_sim.Stats.create ()))
     Sup.Timeout;
-  check "compiled-engine decode failure is its own class"
-    (Spf_sim.Compile.Decode_error "x")
-    Sup.Decode_failure;
   check "tape-engine decode failure is its own class"
     (Spf_sim.Tape.Decode_error "x")
     Sup.Decode_failure;
@@ -151,51 +148,16 @@ let test_deadline_spares_fast_jobs () =
   | _ -> Alcotest.fail "fast job must beat a generous deadline"
 
 let test_engine_fallback_identical_stats () =
-  (* A job whose compiled-engine decode raises must transparently re-run
-     on the interpreter and produce the stats the interpreter produces —
-     the engines are bit-identical, so the campaign numbers are safe. *)
+  (* A job whose tape decode raises must transparently re-run on the
+     interpreter, leave exactly one tape -> interp note, and produce the
+     stats the interpreter produces — the engines are bit-identical, so
+     the campaign numbers are safe. *)
   let machine = Spf_sim.Machine.haswell in
   let run_is (ctx : Runner.ctx) = Runner.run_ctx ctx ~machine (Is.build Is.default) in
   let work (ctx : Runner.ctx) =
     match ctx.Runner.engine with
     | Some Engine.Interp -> run_is ctx
-    | _ -> raise (Spf_sim.Compile.Decode_error "synthetic decode failure")
-  in
-  let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
-  let rencode (r : Runner.result) = Marshal.to_string r [] in
-  let rdecode s =
-    try Some (Marshal.from_string s 0 : Runner.result) with _ -> None
-  in
-  match
-    Sup.run_jobs
-      (Sup.options ~engine:Engine.Compiled ())
-      ~encode:rencode ~decode:rdecode jobs
-  with
-  | [ Ok o ] ->
-      let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
-      Alcotest.(check bool)
-        "fell back (one note)" true
-        (match o.Sup.notes with [ Sup.Fell_back _ ] -> true | _ -> false);
-      Alcotest.(check bool)
-        "stats identical to a direct interp run" true
-        (o.Sup.value.Runner.stats = direct.Runner.stats)
-  | _ -> Alcotest.fail "expected fallback success"
-
-let test_fallback_chain_tape_to_interp () =
-  (* A job whose decode fails on both the tape and the closure engine
-     must walk the whole fallback chain (tape -> compiled -> interp),
-     leaving one note per step, and still produce the interpreter's
-     exact stats. *)
-  let machine = Spf_sim.Machine.haswell in
-  let run_is (ctx : Runner.ctx) =
-    Runner.run_ctx ctx ~machine (Is.build Is.default)
-  in
-  let work (ctx : Runner.ctx) =
-    match ctx.Runner.engine with
-    | Some Engine.Interp -> run_is ctx
-    | Some Engine.Compiled ->
-        raise (Spf_sim.Compile.Decode_error "synthetic compiled failure")
-    | _ -> raise (Spf_sim.Tape.Decode_error "synthetic tape failure")
+    | _ -> raise (Spf_sim.Tape.Decode_error "synthetic decode failure")
   in
   let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
   let rencode (r : Runner.result) = Marshal.to_string r [] in
@@ -210,23 +172,80 @@ let test_fallback_chain_tape_to_interp () =
   | [ Ok o ] ->
       let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
       Alcotest.(check bool)
-        "two fallback notes, tape->compiled->interp" true
+        "one fallback note, tape->interp" true
         (match o.Sup.notes with
         | [
-         Sup.Fell_back { from_engine = Engine.Tape; to_engine = Engine.Compiled; _ };
-         Sup.Fell_back { from_engine = Engine.Compiled; to_engine = Engine.Interp; _ };
+         Sup.Fell_back { from_engine = Engine.Tape; to_engine = Engine.Interp; _ };
         ] ->
             true
         | _ -> false);
       Alcotest.(check bool)
         "stats identical to a direct interp run" true
         (o.Sup.value.Runner.stats = direct.Runner.stats)
+  | _ -> Alcotest.fail "expected fallback success"
+
+let test_fallback_chain_tape_to_interp () =
+  (* A job whose decode fails on every engine that has one below it must
+     walk the whole fallback chain down to the interpreter, trying each
+     engine once in chain order, leaving one note per step, and still
+     produce the interpreter's exact stats. *)
+  let machine = Spf_sim.Machine.haswell in
+  let run_is (ctx : Runner.ctx) =
+    Runner.run_ctx ctx ~machine (Is.build Is.default)
+  in
+  let tried = ref [] in
+  let work (ctx : Runner.ctx) =
+    let e = Option.value ctx.Runner.engine ~default:Engine.default in
+    tried := e :: !tried;
+    match Engine.fallback e with
+    | None -> run_is ctx
+    | Some _ -> raise (Spf_sim.Tape.Decode_error "synthetic decode failure")
+  in
+  let rec chain e =
+    e :: (match Engine.fallback e with Some n -> chain n | None -> [])
+  in
+  let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
+  let rencode (r : Runner.result) = Marshal.to_string r [] in
+  let rdecode s =
+    try Some (Marshal.from_string s 0 : Runner.result) with _ -> None
+  in
+  match
+    Sup.run_jobs
+      (Sup.options ~engine:Engine.Tape ())
+      ~encode:rencode ~decode:rdecode jobs
+  with
+  | [ Ok o ] ->
+      let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
+      let want = chain Engine.Tape in
+      Alcotest.(check (list string))
+        "engines tried, in chain order" [ "tape"; "interp" ]
+        (List.map Engine.to_string want);
+      Alcotest.(check (list string))
+        "each engine tried once" (List.map Engine.to_string want)
+        (List.rev_map Engine.to_string !tried);
+      let rec steps = function
+        | a :: (b :: _ as rest) -> (a, b) :: steps rest
+        | _ -> []
+      in
+      Alcotest.(check bool)
+        "one fallback note per step of the chain" true
+        (List.length o.Sup.notes = List.length (steps want)
+        && List.for_all2
+             (fun n (a, b) ->
+               match n with
+               | Sup.Fell_back { from_engine; to_engine; _ } ->
+                   from_engine = a && to_engine = b
+               | _ -> false)
+             o.Sup.notes (steps want));
+      Alcotest.(check bool)
+        "stats identical to a direct interp run" true
+        (o.Sup.value.Runner.stats = direct.Runner.stats)
   | _ -> Alcotest.fail "expected chained fallback success"
 
 let test_fallback_disabled_fails () =
-  let work _ctx = raise (Spf_sim.Compile.Decode_error "synthetic") in
+  let work _ctx = raise (Spf_sim.Tape.Decode_error "synthetic") in
   let policy = { Sup.default_policy with engine_fallback = false } in
-  match run_jobs ~policy ~engine:Engine.Compiled [ job "t/0" work ] with
+  match run_jobs ~policy ~engine:Engine.Tape [ job "t/0" work ] with
   | [ Error f ] ->
       Alcotest.check classification "class" Sup.Decode_failure f.Sup.f_class
   | _ -> Alcotest.fail "expected Error with fallback disabled"
@@ -234,7 +253,7 @@ let test_fallback_disabled_fails () =
 let test_interp_decode_failure_not_looped () =
   (* Decode failure on the interpreter (no engine below it) must fail,
      not fall back forever. *)
-  let work _ctx = raise (Spf_sim.Compile.Decode_error "synthetic") in
+  let work _ctx = raise (Spf_sim.Tape.Decode_error "synthetic") in
   match run_jobs ~engine:Engine.Interp [ job "t/0" work ] with
   | [ Error f ] ->
       Alcotest.check classification "class" Sup.Decode_failure f.Sup.f_class

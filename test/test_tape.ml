@@ -106,7 +106,7 @@ let test_cancellation_same_block_count () =
   (* A pre-fired token and an infinite arithmetic loop: every engine
      polls at the same 1024-block granularity, so the stats carried by
      [Cancelled] — instruction count included — must be identical across
-     all three, tape seams notwithstanding. *)
+     both, tape seams notwithstanding. *)
   let spin () =
     let b = Builder.create ~name:"spin" ~nparams:0 in
     let head = Builder.new_block b "head" in
@@ -133,8 +133,6 @@ let test_cancellation_same_block_count () =
   let si = cancelled_stats Engine.Interp in
   Alcotest.(check bool) "blocks ran before the poll" true
     (si.Stats.instructions > 0);
-  stats_equal "cancellation block count (compiled)" si
-    (cancelled_stats Engine.Compiled);
   stats_equal "cancellation block count (tape)" si
     (cancelled_stats Engine.Tape)
 

@@ -95,6 +95,18 @@ let test_case_round_trip () =
   | Validate.Proved _ -> ()
   | o -> Alcotest.failf "reloaded case: %s" (Validate.outcome_to_string o)
 
+let test_mem_bad_hex_rejected () =
+  (* [!mem] bytes go through the journal's hex codec: an underscore
+     (which [int_of_string "0x3_"] reads as 3), an odd digit count and a
+     non-hex digit must each be a parse error on the [!mem] line. *)
+  List.iter
+    (fun bad ->
+      match Case.parse (";; spf-case v1\n!brk 8192\n!mem 4096 " ^ bad ^ "\n") with
+      | _ -> Alcotest.failf "!mem %s was accepted" bad
+      | exception Spf_ir.Parser.Parse_error { line; _ } ->
+          Alcotest.(check int) ("!mem " ^ bad ^ " fails on its line") 3 line)
+    [ "3_"; "abc"; "0g" ]
+
 let test_symbolic_oracle_agrees_and_diverges () =
   (match Oracle.check_symbolic spec with
   | Oracle.Agree _ -> ()
@@ -155,6 +167,7 @@ let suite =
     Alcotest.test_case "refutes an unsound margin with a confirmed fault"
       `Quick test_refutes_unsound_margin;
     Alcotest.test_case "case files round-trip" `Quick test_case_round_trip;
+    Alcotest.test_case "!mem rejects bad hex" `Quick test_mem_bad_hex_rejected;
     Alcotest.test_case "symbolic oracle: agree and diverge" `Quick
       test_symbolic_oracle_agrees_and_diverges;
     Alcotest.test_case "replay rejects unknown oracle modes" `Quick
