@@ -15,7 +15,16 @@
    environment half digests the concrete memory image, arguments and
    fuel.  Two clients submitting alpha-renamed copies of the same
    program under equal configs share entries; any difference in any
-   keyed dimension cannot collide. *)
+   keyed dimension cannot collide.
+
+   Building a sim key means parsing the request.  The request index
+   skips that for a repeated request: it maps a digest of the request's
+   exact bytes and options to the sim key their parse produced, so a
+   resubmission finds its reply body with one digest and two lookups.
+   The sim key is a pure function of those inputs, so the index can
+   only name the key the parse would compute.  It is derived data:
+   bounded like the sim level, never journaled, rebuilt by the first
+   parse of each text after a restart. *)
 
 module Pass = Spf_core.Pass
 module Distance = Spf_core.Distance
@@ -76,16 +85,22 @@ let push_front l n =
   (match l.head with Some h -> h.prev <- Some n | None -> l.tail <- Some n);
   l.head <- Some n
 
-let lru_find l key =
+(* Find and refresh recency, counting nothing. *)
+let lru_touch l key =
   match Hashtbl.find_opt l.tbl key with
   | Some n ->
-      l.hits <- l.hits + 1;
       unlink l n;
       push_front l n;
       Some n.value
-  | None ->
-      l.misses <- l.misses + 1;
-      None
+  | None -> None
+
+let tally l found =
+  if found then l.hits <- l.hits + 1 else l.misses <- l.misses + 1
+
+let lru_find l key =
+  let v = lru_touch l key in
+  tally l (Option.is_some v);
+  v
 
 let lru_add l key value =
   (match Hashtbl.find_opt l.tbl key with
@@ -132,6 +147,7 @@ type t = {
   mutex : Mutex.t;
   pass : pass_entry lru;
   sim : string lru;
+  request : string lru; (* request key -> sim key; not journaled *)
   journal : Journal.log option;
   replayed_pass : int; (* journal records replayed at startup *)
   replayed_sim : int;
@@ -298,7 +314,15 @@ let create ?(pass_cap = 512) ?(sim_cap = 2048) ?journal_dir () =
         in
         (Some j, count pass_tag, count sim_tag)
   in
-  { mutex = Mutex.create (); pass; sim; journal; replayed_pass; replayed_sim }
+  {
+    mutex = Mutex.create ();
+    pass;
+    sim;
+    request = lru_create sim_cap;
+    journal;
+    replayed_pass;
+    replayed_sim;
+  }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -362,8 +386,27 @@ let add_sim t key body =
     (fun () -> lru_add t.sim key body)
     (fun () -> sim_record key body)
 
+(* A request hit reads the sim level as {!find_sim} does — counted,
+   recency refreshed.  An indexed key whose body was evicted counts only
+   as a request miss: the caller falls back to parsing and its
+   {!find_sim} counts the sim miss, once. *)
+let find_request t key =
+  locked t (fun () ->
+      match Option.bind (lru_touch t.request key) (lru_touch t.sim) with
+      | Some _ as body ->
+          tally t.request true;
+          tally t.sim true;
+          body
+      | None ->
+          tally t.request false;
+          None)
+
+let add_request t key ~sim_key =
+  locked t (fun () -> lru_add t.request key sim_key)
+
 let pass_stats t = locked t (fun () -> lru_stats t.pass)
 let sim_stats t = locked t (fun () -> lru_stats t.sim)
+let request_stats t = locked t (fun () -> lru_stats t.request)
 
 type journal_stats = {
   journaled : bool;
@@ -427,7 +470,29 @@ let env_digest (case : Case.t) =
     case.writes;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let canonical_digest machine =
+  Digest.to_hex (Digest.string (Machine.canonical machine))
+
+(* Rendering a machine's canonical string costs more than digesting a
+   whole request, and every request names one of the shipped machines:
+   theirs are computed once.  Machine records are immutable, so the
+   physical match always finds the digest the rendering would give. *)
+let shipped_digests = List.map (fun m -> (m, canonical_digest m)) Machine.all
+
+let machine_digest machine =
+  match List.assq_opt machine shipped_digests with
+  | Some d -> d
+  | None -> canonical_digest machine
+
 let sim_key ~pass_key ~env ~machine ~engine ~tscale =
-  Printf.sprintf "%s:%s:%s:%s:%d" pass_key env
-    (Digest.to_hex (Digest.string (Machine.canonical machine)))
+  Printf.sprintf "%s:%s:%s:%s:%d" pass_key env (machine_digest machine)
+    (Engine.to_string engine) tscale
+
+(* Every input of the sim key, in the form a request carries it: the
+   case text stands in for the signature and environment digests its
+   parse yields. *)
+let request_key ~case_text ~config ~machine ~engine ~tscale =
+  Printf.sprintf "%s:%s:%s:%s:%d"
+    (Digest.to_hex (Digest.string case_text))
+    (Config.digest config) (machine_digest machine)
     (Engine.to_string engine) tscale

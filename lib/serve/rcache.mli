@@ -6,8 +6,11 @@
     plus provider decisions) keyed by program signature x pass config;
     level 2 memoises fully rendered reply bodies keyed additionally by
     environment, machine, engine and tscale.  A sim miss that pass-hits
-    skips verification and the pass; a sim hit skips everything.  See
-    docs/SERVING.md for the key discipline. *)
+    skips verification and the pass; a sim hit skips everything.  A
+    request index in front of level 2 maps the digest of a request's
+    exact text and options to its sim key, so a repeated request finds
+    its body without being parsed.  See docs/SERVING.md for the key
+    discipline. *)
 
 type t
 
@@ -45,6 +48,17 @@ val find_sim : t -> string -> string option
 
 val add_sim : t -> string -> string -> unit
 
+val find_request : t -> string -> string option
+(** The reply body for a {!request_key}, through the sim key recorded
+    for it by {!add_request}: a request hit, and a sim hit exactly as
+    {!find_sim} counts one.  [None] — a request miss, and no sim count —
+    when the key is not indexed or its body has been evicted. *)
+
+val add_request : t -> string -> sim_key:string -> unit
+(** Index a request key under the sim key its parse produced.  The
+    index holds as many entries as the sim level and is never
+    journaled. *)
+
 type level_stats = {
   hits : int;
   misses : int;
@@ -55,6 +69,7 @@ type level_stats = {
 
 val pass_stats : t -> level_stats
 val sim_stats : t -> level_stats
+val request_stats : t -> level_stats
 
 (** {1 Journal} *)
 
@@ -102,3 +117,15 @@ val sim_key :
   engine:Spf_sim.Engine.t ->
   tscale:int ->
   string
+
+val request_key :
+  case_text:string ->
+  config:Spf_core.Config.t ->
+  machine:Spf_sim.Machine.t ->
+  engine:Spf_sim.Engine.t ->
+  tscale:int ->
+  string
+(** Every input the sim key is computed from, as a request carries them:
+    the case text's digest, the config digest, the machine's canonical
+    digest, the engine and the tscale.  The request id is not part of
+    it. *)

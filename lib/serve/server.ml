@@ -4,7 +4,9 @@
 
    Request flow:
 
-     handler thread:   read SUBMIT -> parse + key (Service.prepare)
+     handler thread:   read SUBMIT -> request index hit?  reply inline
+                          with no parse (Service.inline)
+                       -> else parse + key (Service.prepare), index it
                        -> sim-cache hit?  reply inline, never touch the
                           pool
                        -> miss: enqueue {prepared, cell}, block on cell
@@ -275,6 +277,7 @@ let stats_lines t =
   [ Proto.ok_line ~id:"stats" ~cache:"-" ]
   @ level "pass" (Rcache.pass_stats t.cache)
   @ level "sim" (Rcache.sim_stats t.cache)
+  @ level "request" (Rcache.request_stats t.cache)
   @ counter_lines @ journal_lines
   @ [
       Printf.sprintf "S draining %d" (if is_draining t then 1 else 0);
@@ -320,44 +323,42 @@ let submit t send ~id ~opts ~case_text =
   match Proto.request_of ~id ~opts ~case_text with
   | Error msg -> err "protocol" msg
   | Ok req -> (
-      match Service.prepare req with
+      match Service.inline ~cache:t.cache req with
       | exception exn -> err "deterministic" (Service.describe_error exn)
-      | p -> (
-          match Service.try_hit ~cache:t.cache p with
-          | Some r ->
-              bump t (fun c -> c.inline_hits <- c.inline_hits + 1);
-              ok r
-          | None -> (
-              let cell = cell_create () in
-              let verdict =
-                with_lock t.q_mutex (fun () ->
-                    if t.draining then `Draining
-                    else if Queue.length t.queue >= t.cfg.max_queue then `Full
-                    else begin
-                      Queue.push { p_prepared = p; p_cell = cell } t.queue;
-                      Condition.signal t.q_cond;
-                      `Queued
-                    end)
-              in
-              match verdict with
-              | `Queued -> (
-                  match cell_wait cell with
-                  | Ok r -> ok r
-                  | Error (cls, msg) -> err cls msg)
-              | `Full ->
-                  bump t (fun c -> c.shed_requests <- c.shed_requests + 1);
-                  send
-                    [
-                      Proto.busy_line ~id ~retry_after_ms:250
-                        ~msg:"request queue full";
-                    ]
-              | `Draining ->
-                  bump t (fun c -> c.shed_requests <- c.shed_requests + 1);
-                  send
-                    [
-                      Proto.busy_line ~id ~retry_after_ms:1000
-                        ~msg:"server draining";
-                    ])))
+      | Service.Hit r ->
+          bump t (fun c -> c.inline_hits <- c.inline_hits + 1);
+          ok r
+      | Service.Miss p -> (
+          let cell = cell_create () in
+          let verdict =
+            with_lock t.q_mutex (fun () ->
+                if t.draining then `Draining
+                else if Queue.length t.queue >= t.cfg.max_queue then `Full
+                else begin
+                  Queue.push { p_prepared = p; p_cell = cell } t.queue;
+                  Condition.signal t.q_cond;
+                  `Queued
+                end)
+          in
+          match verdict with
+          | `Queued -> (
+              match cell_wait cell with
+              | Ok r -> ok r
+              | Error (cls, msg) -> err cls msg)
+          | `Full ->
+              bump t (fun c -> c.shed_requests <- c.shed_requests + 1);
+              send
+                [
+                  Proto.busy_line ~id ~retry_after_ms:250
+                    ~msg:"request queue full";
+                ]
+          | `Draining ->
+              bump t (fun c -> c.shed_requests <- c.shed_requests + 1);
+              send
+                [
+                  Proto.busy_line ~id ~retry_after_ms:1000
+                    ~msg:"server draining";
+                ]))
 
 let drain_watchdog t =
   let deadline = Unix.gettimeofday () +. t.cfg.drain_deadline_s in

@@ -41,9 +41,10 @@ type prepared = {
   sim_key : string;
 }
 
-(* Parse and key the request.  Runs on the connection thread (cheap, and
-   the sim key enables the inline fast path); a malformed payload
-   surfaces here as [Parse_error]. *)
+(* Parse and key the request.  Runs on the connection thread for a
+   request the request index does not know (the sim key enables the
+   inline sim-level hit); a malformed payload surfaces here as
+   [Parse_error]. *)
 let prepare (req : Proto.request) =
   let case = Case.parse req.case_text in
   let sig_digest =
@@ -56,11 +57,26 @@ let prepare (req : Proto.request) =
   in
   { req; case; pass_key; sim_key }
 
-let try_hit ~cache p =
-  match Rcache.find_sim cache p.sim_key with
-  | Some body ->
-      Some { body = String.split_on_char '\n' body; status = Sim_hit }
-  | None -> None
+let sim_hit body = { body = String.split_on_char '\n' body; status = Sim_hit }
+let try_hit ~cache p = Option.map sim_hit (Rcache.find_sim cache p.sim_key)
+
+type inline = Hit of reply | Miss of prepared
+
+(* The connection thread's part of a request.  A request seen before is
+   answered from the request index without a parse; otherwise it is
+   prepared, its sim key indexed (a payload that fails to parse raises
+   first, so it never gets an entry), and the sim level tried. *)
+let inline ~cache (req : Proto.request) =
+  let request_key =
+    Rcache.request_key ~case_text:req.case_text ~config:req.config
+      ~machine:req.machine ~engine:req.engine ~tscale:req.tscale
+  in
+  match Rcache.find_request cache request_key with
+  | Some body -> Hit (sim_hit body)
+  | None -> (
+      let p = prepare req in
+      Rcache.add_request cache request_key ~sim_key:p.sim_key;
+      match try_hit ~cache p with Some r -> Hit r | None -> Miss p)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                          *)
@@ -152,8 +168,8 @@ let simulate ~(ctx : Runner.ctx) p (e : Rcache.pass_entry) =
 (* Full pipeline for one prepared request; runs on a pool domain.
    @raise on any deliberate failure — the supervisor classifies it. *)
 let run ~cache ~ctx p =
-  match Rcache.find_sim cache p.sim_key with
-  | Some body -> { body = String.split_on_char '\n' body; status = Sim_hit }
+  match try_hit ~cache p with
+  | Some r -> r
   | None ->
       let e, status = compile ~cache p in
       let stats, retval = simulate ~ctx p e in

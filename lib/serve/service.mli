@@ -26,7 +26,20 @@ val prepare : Proto.request -> prepared
     @raise Spf_ir.Parser.Parse_error on a malformed payload. *)
 
 val try_hit : cache:Rcache.t -> prepared -> reply option
-(** The fast path: a sim-level hit answered without touching the pool. *)
+(** A sim-level hit for a prepared request, answered without touching
+    the pool. *)
+
+type inline = Hit of reply | Miss of prepared
+
+val inline : cache:Rcache.t -> Proto.request -> inline
+(** The connection thread's part of a request.  A request whose exact
+    text and options were prepared before is answered from the request
+    index ({!Rcache.find_request}) without a parse.  Any other is
+    {!prepare}d, its sim key indexed, and {!try_hit} tried; [Miss] hands
+    it on for {!run}.  Either way a hit is the same [Sim_hit] reply with
+    the same body.
+    @raise Spf_ir.Parser.Parse_error on a malformed payload (which is
+    never indexed). *)
 
 val run : cache:Rcache.t -> ctx:Spf_harness.Runner.ctx -> prepared -> reply
 (** The full pipeline on a pool domain: sim lookup, then pass lookup or

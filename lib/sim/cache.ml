@@ -111,19 +111,30 @@ let set_of t key = if t.mask >= 0 then key land t.mask else key mod t.sets
 
 (* The scans below use unsafe accesses: [set_of] is < [sets] by
    construction, so [base + w] < [sets * assoc] = the array length for
-   every way [w] — and these loops run on every simulated memory access. *)
+   every way [w] — and these loops run on every simulated memory access.
+   They are loops rather than local recursive functions: a local [let
+   rec] capturing the set's base and the key allocates a closure per
+   call, which on this path is words of garbage per simulated
+   instruction. *)
+
+(* The way of [key] in the set starting at [base], scanning from way
+   [from], or -1. *)
+let find_way t (key : int) ~base ~from =
+  let tags = t.tags in
+  let w = ref from in
+  while !w < t.assoc && Array.unsafe_get tags (base + !w) <> key do
+    incr w
+  done;
+  if !w < t.assoc then !w else -1
 
 (* Probe without modifying replacement state. *)
-let mem t key =
-  let base = set_of t key * t.assoc in
-  let rec scan w =
-    w < t.assoc && (Array.unsafe_get t.tags (base + w) = key || scan (w + 1))
-  in
-  scan 0
+let mem t key = find_way t key ~base:(set_of t key * t.assoc) ~from:0 >= 0
 
 (* Rotate ways [0, w] of the set right by one and put [key] in front —
-   the move-to-front that refreshes recency. *)
-let promote tags ~base ~w key =
+   the move-to-front that refreshes recency.  The [int] annotations keep
+   the stores unboxed: a polymorphic array write goes through
+   [caml_modify]. *)
+let promote (tags : int array) ~base ~w (key : int) =
   for k = w downto 1 do
     Array.unsafe_set tags (base + k) (Array.unsafe_get tags (base + k - 1))
   done;
@@ -132,53 +143,44 @@ let promote tags ~base ~w key =
 (* Probe and, on a hit, refresh LRU state.  Returns whether the key hit. *)
 let access t key =
   let base = set_of t key * t.assoc in
-  let tags = t.tags in
-  Array.unsafe_get tags base = key
+  Array.unsafe_get t.tags base = key
   ||
-  let rec scan w =
-    if w >= t.assoc then false
-    else if Array.unsafe_get tags (base + w) = key then begin
-      promote tags ~base ~w key;
-      true
-    end
-    else scan (w + 1)
-  in
-  scan 1
+  let w = find_way t key ~base ~from:1 in
+  if w > 0 then begin
+    promote t.tags ~base ~w key;
+    true
+  end
+  else false
+
+(* Evict the set's LRU way and put [key] in front; the victim, or -1
+   when the way was invalid. *)
+let evict_into t key ~base =
+  let old = Array.unsafe_get t.tags (base + t.assoc - 1) in
+  promote t.tags ~base ~w:(t.assoc - 1) key;
+  old
 
 (* Insert a key (refreshing its recency if already present), evicting
    the LRU way.  Returns the evicted key, if a valid line was
    displaced. *)
 let insert t key =
   let base = set_of t key * t.assoc in
-  let tags = t.tags in
-  let rec find w =
-    if w >= t.assoc then -1
-    else if Array.unsafe_get tags (base + w) = key then w
-    else find (w + 1)
-  in
-  let pos = find 0 in
+  let pos = find_way t key ~base ~from:0 in
   if pos = 0 then None
   else if pos > 0 then begin
-    promote tags ~base ~w:pos key;
+    promote t.tags ~base ~w:pos key;
     None
   end
-  else begin
-    let old = Array.unsafe_get tags (base + t.assoc - 1) in
-    promote tags ~base ~w:(t.assoc - 1) key;
+  else
+    let old = evict_into t key ~base in
     if old >= 0 then Some old else None
-  end
 
 (* Insert a key the caller has just proven absent (an [access] on this
    cache missed, with no intervening insert of it): skips the presence
    scan of {!insert}, going straight to evict-LRU + move-to-front.
    Every memory-system fill site satisfies the precondition — fills only
-   happen after the corresponding probe missed. *)
-let insert_absent t key =
-  let base = set_of t key * t.assoc in
-  let tags = t.tags in
-  let old = Array.unsafe_get tags (base + t.assoc - 1) in
-  promote tags ~base ~w:(t.assoc - 1) key;
-  if old >= 0 then Some old else None
+   happen after the corresponding probe missed.  The victim comes back
+   as a plain int (-1 = none) so an eviction allocates nothing. *)
+let insert_absent t key = evict_into t key ~base:(set_of t key * t.assoc)
 
 let clear t = Array.fill t.tags 0 (Array.length t.tags) (-1)
 let capacity t = t.sets * t.assoc

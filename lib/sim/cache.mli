@@ -37,11 +37,12 @@ val insert : t -> int -> int option
 (** Insert a key (refreshing it if already present); returns the evicted
     key if a valid entry was displaced. *)
 
-val insert_absent : t -> int -> int option
+val insert_absent : t -> int -> int
 (** {!insert} for a key the caller has just proven absent (its [access]
     missed, with nothing inserted since): skips the presence scan.  The
     memory system's fill paths all qualify — a fill only follows a
-    miss. *)
+    miss.  Returns the evicted key, or [-1] when the displaced way was
+    invalid (no [option], so an eviction allocates nothing). *)
 
 val clear : t -> unit
 val capacity : t -> int

@@ -38,18 +38,26 @@ let length t = t.live
    numbers across the table.  The multiplier is 2^62/phi, odd. *)
 let home t key = (key * 0x2E67_F2AE_35E8_DC29) land t.mask
 
+(* The slot holding [key], or else the empty slot that ends its probe
+   sequence.  The probes here are loops, not local recursive functions:
+   one of those captures the arrays and the key, and so allocates a
+   closure on every call. *)
+let slot t (key : int) =
+  let keys = t.keys in
+  let i = ref (home t key) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> key && k <> empty_slot
+  do
+    i := (!i + 1) land t.mask
+  done;
+  !i
+
 (* Returns the binding of [key], or -1 when absent (values are completion
    times, always >= 0) — no [option] allocation on the per-access path. *)
 let find t key =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then Array.unsafe_get t.vals i
-    else if k = empty_slot then -1
-    else probe ((i + 1) land mask)
-  in
-  probe (home t key)
+  let i = slot t key in
+  if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else -1
 
 let rec insert_fresh keys vals mask key v i =
   if Array.unsafe_get keys i = empty_slot then begin
@@ -75,32 +83,34 @@ let grow t =
       if k >= 0 then insert_fresh keys vals mask k old_vals.(i) (home t k))
     old_keys
 
-let replace t key v =
+let replace t (key : int) (v : int) =
   let keys = t.keys in
   let mask = t.mask in
-  (* First tombstone seen on the probe path, reusable if the key is
-     absent. *)
-  let rec probe i dead =
-    let k = Array.unsafe_get keys i in
-    if k = key then Array.unsafe_set t.vals i v
-    else if k = empty_slot then
-      if dead >= 0 then begin
-        Array.unsafe_set keys dead key;
-        Array.unsafe_set t.vals dead v;
-        t.live <- t.live + 1
-      end
-      else begin
-        Array.unsafe_set keys i key;
-        Array.unsafe_set t.vals i v;
-        t.live <- t.live + 1;
-        t.used <- t.used + 1;
-        if t.used * 2 > mask then grow t
-      end
-    else
-      probe ((i + 1) land mask)
-        (if dead < 0 && k = tombstone then i else dead)
-  in
-  probe (home t key) (-1)
+  (* Walk to the key or the first empty slot, remembering the first
+     tombstone seen on the way: it is reusable if the key is absent. *)
+  let i = ref (home t key) in
+  let dead = ref (-1) in
+  while
+    let k = Array.unsafe_get keys !i in
+    k <> key && k <> empty_slot
+  do
+    if !dead < 0 && Array.unsafe_get keys !i = tombstone then dead := !i;
+    i := (!i + 1) land mask
+  done;
+  let i = !i in
+  if Array.unsafe_get keys i = key then Array.unsafe_set t.vals i v
+  else if !dead >= 0 then begin
+    Array.unsafe_set keys !dead key;
+    Array.unsafe_set t.vals !dead v;
+    t.live <- t.live + 1
+  end
+  else begin
+    Array.unsafe_set keys i key;
+    Array.unsafe_set t.vals i v;
+    t.live <- t.live + 1;
+    t.used <- t.used + 1;
+    if t.used * 2 > mask then grow t
+  end
 
 (* Drop every binding with value <= bound and rebuild at the smallest
    power-of-two capacity keeping the load factor under a half (floor 64).
@@ -135,14 +145,8 @@ let sweep t ~bound =
     old_keys
 
 let remove t key =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then begin
-      Array.unsafe_set keys i tombstone;
-      t.live <- t.live - 1
-    end
-    else if k <> empty_slot then probe ((i + 1) land mask)
-  in
-  probe (home t key)
+  let i = slot t key in
+  if Array.unsafe_get t.keys i = key then begin
+    Array.unsafe_set t.keys i tombstone;
+    t.live <- t.live - 1
+  end

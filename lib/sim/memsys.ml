@@ -118,16 +118,18 @@ let translate t ~addr ~now =
    through the (typically deeper) L2 queue, which is precisely the
    asymmetry that lets software prefetching raise a core's sustained miss
    throughput. *)
-let with_mshr t ~kind ~now fill =
-  let slots =
-    match kind with
-    | Demand | Write -> t.mshrs
-    | Sw_prefetch | Hw_prefetch -> t.pf_mshrs
-  in
+let mshrs_for t kind =
+  match kind with
+  | Demand | Write -> t.mshrs
+  | Sw_prefetch | Hw_prefetch -> t.pf_mshrs
+
+(* An L2 or L3 hit of [latency]: the fill holds the earliest-free slot
+   from when it frees up until the data arrives. *)
+let with_mshr t ~kind ~now ~latency =
+  let slots = mshrs_for t kind in
   let k = min_slot slots in
-  let start = imax now slots.(k) in
-  let completion = fill start in
-  slots.(k) <- completion;
+  let completion = imax now (Array.unsafe_get slots k) + latency in
+  Array.unsafe_set slots k completion;
   completion
 
 (* The cache/DRAM lookup path, shared by demand and prefetch requests.
@@ -140,19 +142,16 @@ let with_mshr t ~kind ~now fill =
    and resident at end of run are deliberately unclassified — they were
    neither used nor pushed out. *)
 let note_llc_victim t victim =
-  match victim with
-  | None -> ()
-  | Some v ->
-      if Line_tbl.length t.pf_tbl > 0 then begin
-        let p = Line_tbl.find t.pf_tbl v in
-        if p >= 0 then begin
-          Line_tbl.remove t.pf_tbl v;
-          t.stats.unused_pf_fills <- t.stats.unused_pf_fills + 1;
-          match t.attrib with
-          | Some at -> Attrib.on_unused at ~pf_pc:p
-          | None -> ()
-        end
-      end
+  if victim >= 0 && Line_tbl.length t.pf_tbl > 0 then begin
+    let p = Line_tbl.find t.pf_tbl victim in
+    if p >= 0 then begin
+      Line_tbl.remove t.pf_tbl victim;
+      t.stats.unused_pf_fills <- t.stats.unused_pf_fills + 1;
+      match t.attrib with
+      | Some at -> Attrib.on_unused at ~pf_pc:p
+      | None -> ()
+    end
+  end
 
 let lookup t ~kind ~pc ~line ~now =
   if kind = Demand then t.last_pf_late <- false;
@@ -193,7 +192,7 @@ let lookup t ~kind ~pc ~line ~now =
         t.last_level <- L2;
         t.stats.l2_hits <- t.stats.l2_hits + 1;
         ignore (Cache.insert_absent t.l1 line);
-        with_mshr t ~kind ~now (fun start -> start + t.lat_l2)
+        with_mshr t ~kind ~now ~latency:t.lat_l2
       end
       else
         match t.l3 with
@@ -202,7 +201,7 @@ let lookup t ~kind ~pc ~line ~now =
             t.stats.l3_hits <- t.stats.l3_hits + 1;
             ignore (Cache.insert_absent t.l2 line);
             ignore (Cache.insert_absent t.l1 line);
-            with_mshr t ~kind ~now (fun start -> start + t.lat_l3)
+            with_mshr t ~kind ~now ~latency:t.lat_l3
         | _ -> (
             t.last_level <- Dram;
             (* Prefetches that would queue behind a saturated channel are
@@ -216,11 +215,7 @@ let lookup t ~kind ~pc ~line ~now =
               | Sw_prefetch | Hw_prefetch -> true
               | Demand | Write -> false
             in
-            let slots =
-              match kind with
-              | Demand | Write -> t.mshrs
-              | Sw_prefetch | Hw_prefetch -> t.pf_mshrs
-            in
+            let slots = mshrs_for t kind in
             let k = min_slot slots in
             let start = imax now slots.(k) in
             if

@@ -7,9 +7,11 @@ module S = Exec_state
    Each static instruction is decoded once into contiguous
    struct-of-arrays storage — an int opcode array plus parallel operand /
    destination / latency arrays — so the hot loop is a direct [match] on
-   an unboxed opcode (a jump table), with zero closure captures and zero
-   allocation per retired instruction, instead of the classic
-   interpreter's pattern match over [Ir.instr] records.  A GEP whose
+   an unboxed opcode (a jump table), with zero closure captures, instead
+   of the classic interpreter's pattern match over [Ir.instr] records.
+   A whole run, this loop and the memory system under it, allocates
+   under one minor-heap word per retired instruction (pinned by the
+   memsys suite).  A GEP whose
    single use is the very next load/store's address fuses into that
    memory micro-op ({!fusable}).
 

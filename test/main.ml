@@ -34,6 +34,7 @@ let () =
       ("tape", Test_tape.suite);
       ("golden", Test_golden.suite);
       ("serve", Test_serve.suite);
+      ("ioline", Test_ioline.suite);
       ("proto-fuzz", Test_proto_fuzz.suite);
       ("cache-journal", Test_journal.suite);
     ]

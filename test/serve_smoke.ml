@@ -80,6 +80,13 @@ let () =
         (hot.Spf_serve.Proto.r_cache = "sim-hit");
       check "hot body byte-identical to cold"
         (hot.Spf_serve.Proto.r_body = cold.Spf_serve.Proto.r_body);
+      (* The repeat must have been answered from the request index, not
+         parsed again. *)
+      (match Client.stats c with
+      | Ok kv ->
+          check "hot submit answered from the request index"
+            (Option.value ~default:0 (List.assoc_opt "request_hits" kv) >= 1)
+      | Error e -> failwith ("stats: " ^ e));
       (* Poisoned request: a classified ERR for this client only. *)
       (match Client.submit c ~id:"poison" ~case_text:poison_case () with
       | Ok r ->

@@ -192,6 +192,50 @@ let test_resident_prefetch_unclassified () =
   Alcotest.(check int) "no late" 0 st.Stats.late_pf_fills;
   Alcotest.(check int) "no unused" 0 st.Stats.unused_pf_fills
 
+(* The per-access path allocates nothing: no closure per cache or
+   in-flight probe, no fill closure per L2/L3 hit, no [option] per
+   eviction.  Measured end to end as minor-heap words per simulated
+   instruction over whole runs of IS and CG, plain and through the pass
+   (whose prefetches exercise the timeliness table), on both core
+   models.  Footprints past L2 keep every level and the DRAM path busy;
+   the allowance of one word covers per-block and per-run work, not a
+   per-access allocation (which costs several words per instruction). *)
+let test_no_allocation_per_access () =
+  let module W = Spf_workloads in
+  let is () =
+    W.Is.build { W.Is.n_keys = 1 lsl 17; n_buckets = 1 lsl 20; seed = 1 }
+  in
+  let cg () =
+    W.Cg.build { W.Cg.n_rows = 1 lsl 12; row_nnz = 16; n_cols = 1 lsl 17; seed = 1 }
+  in
+  let auto build () =
+    let b = build () in
+    ignore (Spf_core.Pass.run b.W.Workload.func);
+    b
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (name, build) ->
+          let b : W.Workload.built = build () in
+          let inst =
+            Spf_sim.Interp.create ~machine ~mem:b.mem ~args:b.args b.func
+          in
+          let w0 = Gc.minor_words () in
+          Spf_sim.Interp.run inst;
+          let words = Gc.minor_words () -. w0 in
+          let n = (Spf_sim.Interp.stats inst).Stats.instructions in
+          Spf_sim.Interp.release inst;
+          let label = Printf.sprintf "%s on %s" name machine.Machine.name in
+          Alcotest.(check bool) (label ^ ": at least 1M instructions") true
+            (n >= 1_000_000);
+          let per_inst = words /. float_of_int n in
+          if per_inst > 1.0 then
+            Alcotest.failf "%s: %.2f minor words per instruction (limit 1)"
+              label per_inst)
+        [ ("IS", is); ("IS auto", auto is); ("CG", cg); ("CG auto", auto cg) ])
+    [ Machine.haswell; Machine.a53 ]
+
 let suite =
   [
     Alcotest.test_case "levels and latencies" `Quick test_levels;
@@ -210,4 +254,6 @@ let suite =
     Alcotest.test_case "stride prefetcher trains" `Quick test_stride_prefetcher_trains;
     Alcotest.test_case "stride prefetcher defeated by random" `Quick
       test_stride_prefetcher_defeated_by_random;
+    Alcotest.test_case "no allocation per access" `Quick
+      test_no_allocation_per_access;
   ]

@@ -2,7 +2,8 @@
    evictions, LRU order), the byte-identity contract (a cache hit must
    reproduce the cold reply body exactly, on every engine), cache-key
    separation (same program under a different machine / engine /
-   provider / tscale must never collide), poisoned-request
+   provider / tscale must never collide), the request index (the same
+   replies and sim-level counts without a parse), poisoned-request
    classification, and the BENCH.json overhead-marker semantics.
 
    The socket server itself is exercised end-to-end by the
@@ -55,50 +56,69 @@ let test_sim_reinsert_dedups () =
 (* Service: byte-identity and key separation, on a real fuzz-generated
    program (same generator the loadtest replays). *)
 
-let case_text =
-  lazy
-    (let rng = Spf_workloads.Rng.split ~seed:11 0 in
-     let spec = Spf_fuzz.Gen.random rng in
-     let built = Spf_fuzz.Gen.build spec in
-     Spf_valid.Case.to_string
-       (Spf_valid.Case.of_concrete ~func:built.Spf_fuzz.Gen.func
-          ~mem:built.Spf_fuzz.Gen.mem ~args:built.Spf_fuzz.Gen.args
-          ~fuel:(Spf_fuzz.Gen.fuel spec)))
+let gen_case seed =
+  let rng = Spf_workloads.Rng.split ~seed 0 in
+  let spec = Spf_fuzz.Gen.random rng in
+  let built = Spf_fuzz.Gen.build spec in
+  Spf_valid.Case.to_string
+    (Spf_valid.Case.of_concrete ~func:built.Spf_fuzz.Gen.func
+       ~mem:built.Spf_fuzz.Gen.mem ~args:built.Spf_fuzz.Gen.args
+       ~fuel:(Spf_fuzz.Gen.fuel spec))
 
-let prepare_opts opts =
-  match
-    Proto.request_of ~id:"t" ~opts ~case_text:(Lazy.force case_text)
-  with
-  | Ok req -> Service.prepare req
+let case_text = lazy (gen_case 11)
+
+let request_opts ?(id = "t") ?(case_text = Lazy.force case_text) opts =
+  match Proto.request_of ~id ~opts ~case_text with
+  | Ok req -> req
   | Error e -> Alcotest.fail e
+
+let prepare_opts opts = Service.prepare (request_opts opts)
 
 let body_string (r : Service.reply) = String.concat "\n" r.Service.body
 
+let inline_miss ~cache req =
+  match Service.inline ~cache req with
+  | Service.Miss p -> p
+  | Service.Hit _ -> Alcotest.fail "request answered before it was ever run"
+
+let inline_hit ~cache req =
+  match Service.inline ~cache req with
+  | Service.Hit r -> r
+  | Service.Miss _ -> Alcotest.fail "request index missed a repeated request"
+
 let test_hit_matches_cold () =
-  (* For every engine: the cold body, the inline sim-hit body and a full
-     re-run body must be byte-identical — the cache's whole contract. *)
+  (* For every engine: the cold body, the prepared inline sim-hit body,
+     the request index's body (no parse) and a full re-run body must be
+     byte-identical — the cache's whole contract. *)
   List.iter
     (fun engine ->
       let name = Engine.to_string engine in
       let cache = Rcache.create () in
-      let p = prepare_opts [ ("engine", name) ] in
+      let req = request_opts [ ("engine", name) ] in
+      let p = inline_miss ~cache req in
       let cold = Service.run ~cache ~ctx:Runner.null_ctx p in
       Alcotest.(check string) (name ^ " first run is cold") "cold"
         (Service.status_to_string cold.Service.status);
-      (match Service.try_hit ~cache p with
-      | None -> Alcotest.fail (name ^ ": no inline hit after cold run")
-      | Some hit ->
-          Alcotest.(check string) (name ^ " inline hit status") "sim-hit"
-            (Service.status_to_string hit.Service.status);
+      let inline =
+        match Service.try_hit ~cache p with
+        | Some r -> r
+        | None -> Alcotest.fail (name ^ ": no inline hit after cold run")
+      in
+      List.iter
+        (fun (what, (r : Service.reply)) ->
+          Alcotest.(check string) (name ^ " " ^ what ^ " is a sim hit")
+            "sim-hit"
+            (Service.status_to_string r.Service.status);
           Alcotest.(check string)
-            (name ^ " inline hit body = cold body")
-            (body_string cold) (body_string hit));
-      let rerun = Service.run ~cache ~ctx:Runner.null_ctx p in
-      Alcotest.(check string) (name ^ " rerun is a sim hit") "sim-hit"
-        (Service.status_to_string rerun.Service.status);
-      Alcotest.(check string)
-        (name ^ " rerun body = cold body")
-        (body_string cold) (body_string rerun))
+            (name ^ " " ^ what ^ " body = cold body")
+            (body_string cold) (body_string r))
+        [
+          ("inline hit", inline);
+          ("index hit", inline_hit ~cache req);
+          ("rerun", Service.run ~cache ~ctx:Runner.null_ctx p);
+        ];
+      Alcotest.(check string) (name ^ " request level") "h=1 m=1 e=0 n=1/2048"
+        (stats_line (Rcache.request_stats cache)))
     Engine.all
 
 let test_compiled_engine_refused () =
@@ -126,18 +146,22 @@ let test_pass_hit_on_machine_change () =
   Alcotest.(check string) "a53 run reuses the pass memo" "pass-hit"
     (Service.status_to_string r.Service.status)
 
+(* One variant of the default request per keyed dimension. *)
+let variant_opts =
+  [
+    ("machine", [ ("machine", "a53") ]);
+    ("engine", [ ("engine", "interp") ]);
+    ("provider", [ ("provider", "adaptive") ]);
+    ("c", [ ("c", "4") ]);
+    ("tscale", [ ("tscale", "2") ]);
+  ]
+
 let test_key_separation () =
   (* Pairwise-distinct sim keys for every config dimension, and no
      false inline hit after a cold run of the base request. *)
   let base = prepare_opts [] in
   let variants =
-    [
-      ("machine", prepare_opts [ ("machine", "a53") ]);
-      ("engine", prepare_opts [ ("engine", "interp") ]);
-      ("provider", prepare_opts [ ("provider", "adaptive") ]);
-      ("c", prepare_opts [ ("c", "4") ]);
-      ("tscale", prepare_opts [ ("tscale", "2") ]);
-    ]
+    List.map (fun (dim, opts) -> (dim, prepare_opts opts)) variant_opts
   in
   List.iter
     (fun (dim, v) ->
@@ -157,13 +181,27 @@ let test_key_separation () =
       | _ -> Alcotest.(check bool) (dim ^ " keeps the pass key") true same)
     variants;
   let cache = Rcache.create () in
-  ignore (Service.run ~cache ~ctx:Runner.null_ctx base);
+  ignore
+    (Service.run ~cache ~ctx:Runner.null_ctx
+       (inline_miss ~cache (request_opts ~id:"a" [])));
   List.iter
     (fun (dim, v) ->
       match Service.try_hit ~cache v with
       | None -> ()
       | Some _ -> Alcotest.fail (dim ^ " variant collided with base"))
-    variants
+    variants;
+  (* The request index: another id shares the base's entry; a variant is
+     never answered from it, and gets an entry of its own. *)
+  ignore (inline_hit ~cache (request_opts ~id:"b" []));
+  List.iter
+    (fun (dim, opts) ->
+      match Service.inline ~cache (request_opts ~id:"a" opts) with
+      | Service.Miss _ -> ()
+      | Service.Hit _ -> Alcotest.fail (dim ^ " variant answered by the base"))
+    variant_opts;
+  Alcotest.(check int) "one index entry per distinct request"
+    (1 + List.length variant_opts)
+    (Rcache.request_stats cache).entries
 
 let poison_case =
   ";; spf-case v1\n!brk 4096\n!fuel 1000\n\
@@ -406,15 +444,95 @@ let test_journal_warm_restart () =
           let js = Rcache.journal_stats (Server.cache t) in
           Alcotest.(check bool) "journal replayed at restart" true
             (js.Rcache.replayed_sim >= 1);
+          (* The request index is not journaled: the first warm request
+             parses (a request miss), the second is answered from the
+             index (a request hit), and both bodies are the cold one. *)
+          let request_level () =
+            let s = Rcache.request_stats (Server.cache t) in
+            Printf.sprintf "h=%d m=%d" s.hits s.misses
+          in
           with_client sock (fun c ->
-              match Client.submit c ~id:"w2" ~case_text:(Lazy.force case_text) () with
-              | Error e -> Alcotest.fail e
-              | Ok r ->
-                  Alcotest.(check string) "warm restart answers from cache"
-                    "sim-hit" r.Proto.r_cache;
-                  Alcotest.(check (list string))
-                    "warm body byte-identical to the cold body" !cold_body
-                    r.Proto.r_body)))
+              List.iter
+                (fun (id, level) ->
+                  match
+                    Client.submit c ~id ~case_text:(Lazy.force case_text) ()
+                  with
+                  | Error e -> Alcotest.fail e
+                  | Ok r ->
+                      Alcotest.(check string) (id ^ " answers from cache")
+                        "sim-hit" r.Proto.r_cache;
+                      Alcotest.(check (list string))
+                        (id ^ " body byte-identical to the cold body")
+                        !cold_body r.Proto.r_body;
+                      Alcotest.(check string) (id ^ " request level") level
+                        (request_level ()))
+                [ ("w2", "h=0 m=1"); ("w3", "h=1 m=1") ])))
+
+let stats_of c =
+  match Client.stats c with Ok kv -> kv | Error e -> Alcotest.fail e
+
+let stat kv k =
+  match List.assoc_opt k kv with
+  | Some v -> v
+  | None -> Alcotest.fail ("STATS lacks " ^ k)
+
+let test_index_counter_parity () =
+  (* Three programs through a two-entry sim level: B is evicted by C and
+     then resubmitted (its index entry outlives its body), A is evicted
+     by B and resubmitted, and the repeats in between are hits.  The
+     sim-level and inline counts are exactly what the daemon counted
+     before the request index existed; the index only adds its own
+     level. *)
+  let sock = scratch "parity.sock" in
+  let cfg = { (test_cfg sock) with Server.sim_cap = 2 } in
+  let a = gen_case 21 and b = gen_case 22 and c = gen_case 23 in
+  let sequence =
+    [ ("a1", a); ("b1", b); ("a2", a); ("c1", c); ("b2", b); ("b3", b);
+      ("a3", a); ("a4", a) ]
+  in
+  with_server cfg (fun _ ->
+      with_client sock (fun cl ->
+          let statuses =
+            List.map
+              (fun (id, case_text) ->
+                match Client.submit cl ~id ~case_text () with
+                | Ok r when r.Proto.r_err = None -> r.Proto.r_cache
+                | Ok _ | Error _ -> Alcotest.fail ("no reply to " ^ id))
+              sequence
+          in
+          Alcotest.(check (list string)) "cache statuses"
+            [ "cold"; "cold"; "sim-hit"; "cold"; "pass-hit"; "sim-hit";
+              "pass-hit"; "sim-hit" ]
+            statuses;
+          let kv = stats_of cl in
+          List.iter
+            (fun (k, want) -> Alcotest.(check int) k want (stat kv k))
+            [
+              ("sim_hits", 3);
+              ("sim_misses", 10);
+              ("sim_evictions", 3);
+              ("inline_hits", 3);
+              ("request_hits", 3);
+              ("request_misses", 5);
+            ]))
+
+let test_index_unparsable_never_indexed () =
+  let sock = scratch "unparsable.sock" in
+  with_server (test_cfg sock) (fun _ ->
+      with_client sock (fun cl ->
+          let reply id =
+            match Client.submit cl ~id ~case_text:"garbage\n" () with
+            | Ok r -> r.Proto.r_err
+            | Error e -> Alcotest.fail e
+          in
+          let first = reply "g1" in
+          (match first with
+          | Some ("deterministic", _) -> ()
+          | _ -> Alcotest.fail "unparsable text not classified deterministic");
+          Alcotest.(check bool) "the same ERR again" true (reply "g2" = first);
+          let kv = stats_of cl in
+          Alcotest.(check int) "never indexed" 0 (stat kv "request_entries");
+          Alcotest.(check int) "never a request hit" 0 (stat kv "request_hits")))
 
 let suite =
   [
@@ -446,4 +564,8 @@ let suite =
       test_idle_timeout_classified;
     Alcotest.test_case "journal warm restart byte-identical" `Quick
       test_journal_warm_restart;
+    Alcotest.test_case "index keeps the sim counters" `Quick
+      test_index_counter_parity;
+    Alcotest.test_case "index never holds an unparsable text" `Quick
+      test_index_unparsable_never_indexed;
   ]
