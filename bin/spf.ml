@@ -490,12 +490,15 @@ let split_cmd =
 
 let profile_cmd =
   let doc =
-    "Profile a benchmark's memory accesses per instruction site (untimed \
-     cache model) — shows exactly which loads miss.  With $(b,-o FILE), \
-     measure a signed distance profile instead (timed simulator): \
-     per-loop attribution of the plain program plus a look-ahead sweep \
-     of the transformed one, consumable via $(b,spf run \
-     --distance-provider=profile --profile-in FILE)."
+    "Profile a benchmark's memory accesses per instruction site: one \
+     timed run of the variant, then for each load, store and prefetch \
+     where its accesses were satisfied (L1, L2, L3, a fill still in \
+     flight, a DRAM fill, or dropped under DRAM backlog) and how many of \
+     its prefetches were late or unused, followed by the per-loop \
+     totals.  With $(b,-o FILE), measure a signed distance profile \
+     instead: per-loop attribution of the plain program plus a \
+     look-ahead sweep of the transformed one, consumable via $(b,spf \
+     run --distance-provider=profile --profile-in FILE)."
   in
   let out_arg =
     Arg.(
@@ -527,13 +530,10 @@ let profile_cmd =
           pd.Spf_core.Profdata.machine
     | None ->
         let built = build_variant bench variant ~machine ~c in
-        let prof = Spf_sim.Profile.create machine in
-        let retval =
-          Spf_sim.Profile.run prof built.Workload.func ~mem:built.Workload.mem
-            ~args:built.Workload.args
-        in
-        Workload.validate built ~retval;
-        Format.printf "%a" Spf_sim.Profile.pp prof
+        let attrib = Spf_sim.Attrib.create built.Workload.func in
+        ignore (Runner.run ~attrib ~machine built);
+        Format.printf "%a%a" Spf_sim.Attrib.pp_sites attrib Spf_sim.Attrib.pp
+          attrib
   in
   Cmd.v
     (Cmd.info "profile" ~doc)

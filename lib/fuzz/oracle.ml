@@ -1,6 +1,4 @@
 module Ir = Spf_ir.Ir
-module Interp = Spf_sim.Interp
-module Memory = Spf_sim.Memory
 module Pass = Spf_core.Pass
 
 (* The differential oracle.
@@ -17,21 +15,12 @@ module Pass = Spf_core.Pass
    the pass and verifier must still succeed on them: a never-crash pass
    does not get to assume well-formed input data. *)
 
-type outcome =
+type outcome = Spf_valid.Model.outcome =
   | Returned of { retval : int option; digest : string }
   | Trapped of { pc : int; addr : int; is_store : bool }
   | Out_of_fuel
 
-let outcome_to_string = function
-  | Returned { retval; digest } ->
-      Printf.sprintf "returned %s, mem %s"
-        (match retval with Some v -> string_of_int v | None -> "-")
-        (String.sub digest 0 8)
-  | Trapped { pc; addr; is_store } ->
-      Printf.sprintf "trapped (%s at addr %d, instr %d)"
-        (if is_store then "store" else "load")
-        addr pc
-  | Out_of_fuel -> "ran out of fuel"
+let outcome_to_string = Spf_valid.Model.outcome_to_string
 
 type divergence_kind =
   | Pass_raised of string  (* exception escaped Pass.run: never allowed *)
@@ -130,24 +119,8 @@ let mode_of_string s =
       else None
 
 let execute ?engine ?cancel ~fuel (b : Gen.built) =
-  let interp =
-    Interp.create ~machine:Spf_sim.Machine.haswell ?engine ?cancel
-      ~mem:b.Gen.mem ~args:b.Gen.args b.Gen.func
-  in
-  Fun.protect
-    ~finally:(fun () -> Interp.release interp)
-    (fun () ->
-      match Interp.run ~fuel interp with
-      | () ->
-          ( Returned
-              {
-                retval = Interp.retval interp;
-                digest = Memory.digest b.Gen.mem;
-              },
-            Interp.stats interp )
-      | exception Interp.Trap { pc; addr; is_store; _ } ->
-          (Trapped { pc; addr; is_store }, Interp.stats interp)
-      | exception Interp.Fuel_exhausted -> (Out_of_fuel, Interp.stats interp))
+  Spf_valid.Model.execute ?engine ?cancel ~fuel ~mem:b.Gen.mem ~args:b.Gen.args
+    b.Gen.func
 
 let check ?config ?(strict = false) ?engine ?cancel (spec : Gen.spec) : verdict =
   let fuel = Gen.fuel spec in
@@ -284,12 +257,6 @@ let check_engines ?config ?(strict = false) ?cancel (spec : Gen.spec) : verdict 
 
 (* --- symbolic (translation validation) mode ----------------------------- *)
 
-let model_outcome : Spf_valid.Model.outcome -> outcome = function
-  | Spf_valid.Model.Returned { retval; digest } -> Returned { retval; digest }
-  | Spf_valid.Model.Trapped { pc; addr; is_store } ->
-      Trapped { pc; addr; is_store }
-  | Spf_valid.Model.Out_of_fuel -> Out_of_fuel
-
 (* The symbolic oracle runs the concrete differential check first (which
    also exercises pass containment and the static verifier), then backs
    an agreeing run with a proof: the validator either proves the pair
@@ -323,8 +290,8 @@ let check_symbolic ?config ?strict ?cancel (spec : Gen.spec) : verdict =
               Diverged
                 (Outcome_mismatch
                    {
-                     original = model_outcome cex.Spf_valid.Model.original;
-                     transformed = model_outcome cex.Spf_valid.Model.transformed;
+                     original = cex.Spf_valid.Model.original;
+                     transformed = cex.Spf_valid.Model.transformed;
                      introduced_fault = cex.Spf_valid.Model.introduced_fault;
                    })
           | Spf_valid.Validate.Gave_up r -> Undecided r))

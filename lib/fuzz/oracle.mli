@@ -4,10 +4,11 @@
     interpreter and their outcomes — return value, memory digest, trap
     behaviour — must agree.  See docs/ROBUSTNESS.md. *)
 
-type outcome =
+type outcome = Spf_valid.Model.outcome =
   | Returned of { retval : int option; digest : string }
   | Trapped of { pc : int; addr : int; is_store : bool }
   | Out_of_fuel
+(** The concrete outcome the validator's counterexamples use too. *)
 
 val outcome_to_string : outcome -> string
 
@@ -74,6 +75,7 @@ val execute :
   fuel:int ->
   Gen.built ->
   outcome * Spf_sim.Stats.t
+(** {!Spf_valid.Model.execute} on a built case's memory and arguments. *)
 
 val check :
   ?config:Spf_core.Config.t ->

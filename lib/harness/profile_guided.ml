@@ -173,14 +173,14 @@ let profile ?(ctx = Runner.null_ctx) ?(cs = candidates) ~machine
       (fun (ld : Pass.loop_distance) ->
         if not ld.Pass.enabled then None
         else
-          let slot = Attrib.slot_of_header attrib ld.Pass.header in
+          let l = Attrib.loop attrib ~header:ld.Pass.header in
           Some
             {
               Profdata.header = ld.Pass.header;
               c = best_c;
               enabled = true;
-              accesses = (if slot >= 0 then attrib.Attrib.demand.(slot) else 0);
-              misses = (if slot >= 0 then attrib.Attrib.miss.(slot) else 0);
+              accesses = l.Attrib.demand;
+              misses = l.Attrib.miss;
             })
       report.Pass.loop_distances
   in

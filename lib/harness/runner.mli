@@ -31,8 +31,9 @@ val run :
   result
 (** @raise Failure on verifier violations or checksum mismatch.
     [engine] selects the simulator engine (default {!Spf_sim.Engine.default}).
-    [attrib] buckets memory behaviour per source loop (profiling);
-    [tuner] drives the adaptive distance registers.
+    [attrib] counts memory behaviour per pc (profiling); [tuner]
+    drives the adaptive distance registers — with both, [attrib] must be
+    [Tuner.attrib tuner] (@raise Invalid_argument otherwise).
     @raise Spf_sim.Exec_state.Cancelled once [cancel] fires. *)
 
 val run_ctx :

@@ -79,8 +79,14 @@ type t = {
 let create ~machine ~tscale ~dram ?stats ?cancel ?attrib ?tuner
     ?(extra_slots = 0) ~mem ~args func =
   let stats = match stats with Some s -> s | None -> Stats.create () in
+  (* The tuner steers by its own sink's loop totals: feeding memsys a
+     different one would leave those at zero and the run at its initial
+     distances, silently. *)
   let attrib =
     match (attrib, tuner) with
+    | Some a, Some tu when a != Tuner.attrib tu ->
+        invalid_arg
+          "Exec_state.create: ~attrib must be the tuner's own (Tuner.attrib)"
     | Some _, _ -> attrib
     | None, Some tu -> Some (Tuner.attrib tu)
     | None, None -> None
@@ -252,7 +258,7 @@ let exec_load t ~pc ~dst ~ty ~addr ~start =
      the window boundary is thereby identical in both engines. *)
   (match t.tuner with Some tu -> Tuner.tick tu ~env:t.env | None -> ());
   match Memsys.last_level t.memsys with
-  | Memsys.L1 -> completion
+  | Memsys.L1 | Memsys.Dropped -> completion
   | Memsys.Inflight | Memsys.L2 | Memsys.L3 ->
       if t.in_order then t.demand_free.(slot) <- completion;
       completion

@@ -71,9 +71,11 @@ val create :
     ids — the tape engine materializes immediates into trailing constant
     slots there.  Instruction destinations never reach the extension.
 
-    [attrib] buckets demand-load outcomes per source loop; [tuner] seeds
-    and re-tunes the adaptive distance registers (its own attribution
-    table is used when [attrib] is absent). *)
+    [attrib] counts every memory access per pc; [tuner] seeds and
+    re-tunes the adaptive distance registers from its own attribution
+    sink, which is used when [attrib] is absent.
+    @raise Invalid_argument if both are given and [attrib] is not
+    [Tuner.attrib tuner]. *)
 
 val poll_cancel : t -> unit
 (** @raise Cancelled if this state's token (if any) has been fired. *)

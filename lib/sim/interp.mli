@@ -55,9 +55,10 @@ val create :
     the given memory.  Pass a shared [dram] to model multicore bandwidth
     contention.  [engine] selects the classic instruction walker or the
     micro-op tape engine (default {!Engine.default}); the two are
-    bit-identical.  [attrib] buckets
-    memory behaviour per source loop; [tuner] drives adaptive distance
-    registers — both engine-independent. *)
+    bit-identical.  [attrib] counts memory behaviour per pc; [tuner]
+    drives adaptive distance registers — both engine-independent.
+    @raise Invalid_argument if both are given and [attrib] is not
+    [Tuner.attrib tuner]. *)
 
 val register_intrinsic : t -> string -> (int array -> int) -> unit
 (** Provide the implementation of a [Call] target. *)

@@ -9,7 +9,7 @@
 
 type kind = Demand | Write | Sw_prefetch | Hw_prefetch
 
-type level = L1 | L2 | L3 | Dram | Inflight
+type level = Attrib.level = L1 | L2 | L3 | Dram | Inflight | Dropped
 
 type t = {
   tscale : int;
@@ -30,7 +30,7 @@ type t = {
   dram : Dram.t;
   spf : Stride_pf.t option;
   stats : Stats.t;
-  attrib : Attrib.t option; (* per-loop attribution sink, when profiling *)
+  attrib : Attrib.t option; (* per-pc attribution sink, when profiling *)
   mutable last_pf_late : bool;
       (* did the most recent demand lookup catch a marked fill in flight? *)
   lat_l1 : int;
@@ -203,7 +203,6 @@ let lookup t ~kind ~pc ~line ~now =
             ignore (Cache.insert_absent t.l1 line);
             with_mshr t ~kind ~now ~latency:t.lat_l3
         | _ -> (
-            t.last_level <- Dram;
             (* Prefetches that would queue behind a saturated channel are
                dropped rather than crowd out demand traffic, as real memory
                controllers do — this keeps software prefetching from
@@ -221,8 +220,13 @@ let lookup t ~kind ~pc ~line ~now =
             if
               is_prefetch
               && Dram.backlog t.dram ~now:start > 3 * Dram.latency t.dram
-            then now (* dropped: no fill started, no slot held *)
+            then begin
+              (* dropped: no fill started, no slot held *)
+              t.last_level <- Dropped;
+              now
+            end
             else begin
+              t.last_level <- Dram;
               t.stats.dram_fills <- t.stats.dram_fills + 1;
               let completion = Dram.request t.dram ~now:start in
               slots.(k) <- completion;
@@ -265,20 +269,28 @@ let prune_inflight t ~low_water =
   if Line_tbl.length t.inflight >= 1024 then
     Line_tbl.sweep t.inflight ~bound:low_water
 
+(* Report one access to the attribution sink under its own pc: demand
+   loads, stores and software prefetches.  A hardware prefetch belongs to
+   the stride engine, not to any instruction. *)
+let attribute t at ~kind ~pc ~now ~completion =
+  match kind with
+  | Demand ->
+      Attrib.on_access at ~pc ~level:t.last_level ~late:t.last_pf_late
+        ~stall:(imax 0 (completion - now - t.lat_l1))
+  | Write | Sw_prefetch ->
+      Attrib.on_access at ~pc ~level:t.last_level ~late:false ~stall:0
+  | Hw_prefetch -> ()
+
 let access t ~kind ~pc ~addr ~now =
   let ready = translate t ~addr ~now in
   let line = addr lsr Machine.line_shift in
   let completion = lookup t ~kind ~pc ~line ~now:ready in
+  (match t.attrib with
+  | Some at -> attribute t at ~kind ~pc ~now ~completion
+  | None -> ());
   (match kind with
   | Demand -> (
       t.stats.loads <- t.stats.loads + 1;
-      (match t.attrib with
-      | Some at ->
-          Attrib.on_demand at ~pc
-            ~dram:(t.last_level = Dram)
-            ~late:t.last_pf_late
-            ~stall:(imax 0 (completion - now - t.lat_l1))
-      | None -> ());
       match t.spf with
       | Some p ->
           let pf_addr = Stride_pf.train p ~pc ~addr in

@@ -8,7 +8,9 @@ type kind =
   | Sw_prefetch  (** prefetch emitted by the pass or by hand *)
   | Hw_prefetch  (** prefetch issued by the stride engine *)
 
-type level = L1 | L2 | L3 | Dram | Inflight
+type level = Attrib.level = L1 | L2 | L3 | Dram | Inflight | Dropped
+(** Where an access was satisfied; [Dropped] is a prefetch discarded
+    under DRAM backlog, with no fill started. *)
 
 type t
 
@@ -23,8 +25,9 @@ val create :
 (** [tscale] is the core model's sub-cycle time scale; all configured
     latencies are multiplied by it.  The [dram] channel may be shared
     between several cores' memory systems (Fig 9).  When [attrib] is given,
-    demand-load outcomes and unused-prefetch evictions are additionally
-    bucketed per source loop (profiling and the adaptive tuner). *)
+    every demand load, store and software prefetch is additionally
+    reported under its pc, with where it was satisfied, and so is every
+    unused-prefetch eviction (profiling and the adaptive tuner). *)
 
 val release : t -> unit
 (** Return the L1, L2, L3 and TLB tag arrays to the calling domain's

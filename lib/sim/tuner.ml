@@ -28,12 +28,7 @@ type reg = {
   lo : int; (* per-register tuning range — the cost-model band when the *)
   hi : int; (* register was seeded from eq. 1, [min_c, max_c] otherwise *)
   mutable cur : int;
-  loop_slot : int; (* Attrib slot for this header, -1 when unknown *)
-  (* Counter snapshot at the last window boundary. *)
-  mutable p_demand : int;
-  mutable p_miss : int;
-  mutable p_late : int;
-  mutable p_unused : int;
+  mutable seen : Attrib.totals; (* the loop's totals at the last boundary *)
   mutable trace : int list; (* distances chosen, newest first *)
 }
 
@@ -43,6 +38,7 @@ type t = {
   min_c : int;
   max_c : int;
   regs : reg array;
+  mutable loads : int; (* demand loads retired so far: the window clock *)
   mutable next_at : int;
   mutable windows : int;
 }
@@ -70,11 +66,7 @@ let create ~attrib ~window ~min_c ~max_c regs =
       lo;
       hi;
       cur = init;
-      loop_slot = Attrib.slot_of_header attrib s.spec_header;
-      p_demand = 0;
-      p_miss = 0;
-      p_late = 0;
-      p_unused = 0;
+      seen = Attrib.loop attrib ~header:s.spec_header;
       trace = [ init ];
     }
   in
@@ -84,6 +76,7 @@ let create ~attrib ~window ~min_c ~max_c regs =
     min_c;
     max_c;
     regs = Array.of_list (List.map mk regs);
+    loads = 0;
     next_at = window;
     windows = 0;
   }
@@ -106,33 +99,27 @@ let init_env t (env : int array) =
      2x-vs-competitor guards keep the two signals from fighting).
 
    Thresholds are shares of the window's demand loads in the loop, in
-   integer arithmetic (shortfall/waste >= 1/16th of demand). *)
+   integer arithmetic (shortfall/waste >= 1/16th of demand).  A header
+   with no loop has all-zero totals, so it never moves. *)
 let retune_reg t (r : reg) (env : int array) =
-  if r.loop_slot >= 0 then begin
-    let a = t.attrib in
-    let d_demand = a.Attrib.demand.(r.loop_slot) - r.p_demand in
-    let d_miss = a.Attrib.miss.(r.loop_slot) - r.p_miss in
-    let d_late = a.Attrib.late.(r.loop_slot) - r.p_late in
-    let d_unused = a.Attrib.unused.(r.loop_slot) - r.p_unused in
-    r.p_demand <- a.Attrib.demand.(r.loop_slot);
-    r.p_miss <- a.Attrib.miss.(r.loop_slot);
-    r.p_late <- a.Attrib.late.(r.loop_slot);
-    r.p_unused <- a.Attrib.unused.(r.loop_slot);
-    if d_demand > 0 then begin
-      let shortfall = d_miss + d_late in
-      let next =
-        if shortfall * 16 >= d_demand && shortfall >= 2 * d_unused then
-          min (r.cur * 2) r.hi
-        else if d_unused * 16 >= d_demand && d_unused >= 2 * shortfall then
-          max (r.cur / 2) r.lo
-        else r.cur
-      in
-      if next <> r.cur then begin
-        r.cur <- next;
-        env.(r.slot) <- next
-      end;
-      r.trace <- r.cur :: r.trace
-    end
+  let now = Attrib.loop t.attrib ~header:r.header in
+  let d_demand = now.Attrib.demand - r.seen.demand in
+  let d_unused = now.unused - r.seen.unused in
+  let shortfall = now.miss - r.seen.miss + (now.late - r.seen.late) in
+  r.seen <- now;
+  if d_demand > 0 then begin
+    let next =
+      if shortfall * 16 >= d_demand && shortfall >= 2 * d_unused then
+        min (r.cur * 2) r.hi
+      else if d_unused * 16 >= d_demand && d_unused >= 2 * shortfall then
+        max (r.cur / 2) r.lo
+      else r.cur
+    in
+    if next <> r.cur then begin
+      r.cur <- next;
+      env.(r.slot) <- next
+    end;
+    r.trace <- r.cur :: r.trace
   end
 
 let retune t env =
@@ -141,8 +128,9 @@ let retune t env =
 
 (* Called after every retired demand load. *)
 let tick t ~env =
-  if t.attrib.Attrib.total_demand >= t.next_at then begin
-    t.next_at <- t.attrib.Attrib.total_demand + t.window;
+  t.loads <- t.loads + 1;
+  if t.loads >= t.next_at then begin
+    t.next_at <- t.loads + t.window;
     retune t env
   end
 

@@ -66,25 +66,33 @@ let register_default_intrinsics it func =
         b.Ir.instrs)
     func.Ir.blocks
 
-let run_one ?cancel ~env ~brk func =
-  let mem, args = env.fresh () in
-  if brk < Memory.size mem then Memory.truncate mem brk;
+(* The one create/run/classify sequence every concrete comparison uses.
+   Callers run it many times per case (the break binary search, the
+   fuzz twins): hand the tag arrays back on every exit so the next run
+   reuses them. *)
+let execute ?engine ?cancel ~fuel ~mem ~args func =
   let it =
-    Interp.create ~machine:Machine.haswell ~engine:Engine.Interp ?cancel ~mem
-      ~args func
+    Interp.create ~machine:Machine.haswell ?engine ?cancel ~mem ~args func
   in
   register_default_intrinsics it func;
-  (* The break binary search calls this many times per case: hand the
-     tag arrays back on every exit so the next run reuses them. *)
   Fun.protect
     ~finally:(fun () -> Interp.release it)
     (fun () ->
-      match Interp.run ~fuel:env.fuel it with
-      | () -> Returned { retval = Interp.retval it; digest = Memory.digest mem }
-      | exception Interp.Trap f ->
-          Trapped
-            { pc = f.Interp.pc; addr = f.Interp.addr; is_store = f.Interp.is_store }
-      | exception Interp.Fuel_exhausted -> Out_of_fuel)
+      let outcome =
+        match Interp.run ~fuel it with
+        | () ->
+            Returned { retval = Interp.retval it; digest = Memory.digest mem }
+        | exception Interp.Trap { pc; addr; is_store; _ } ->
+            Trapped { pc; addr; is_store }
+        | exception Interp.Fuel_exhausted -> Out_of_fuel
+      in
+      (outcome, Interp.stats it))
+
+let run_one ?cancel ~env ~brk func =
+  let mem, args = env.fresh () in
+  if brk < Memory.size mem then Memory.truncate mem brk;
+  fst
+    (execute ~engine:Engine.Interp ?cancel ~fuel:env.fuel ~mem ~args func)
 
 let completes ?cancel ~env ~brk func =
   match run_one ?cancel ~env ~brk func with Returned _ -> true | _ -> false

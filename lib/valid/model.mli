@@ -27,6 +27,19 @@ type cex = {
       (** the transformed run trapped at a pass-inserted instruction *)
 }
 
+val execute :
+  ?engine:Spf_sim.Engine.t ->
+  ?cancel:Spf_sim.Exec_state.cancel ->
+  fuel:int ->
+  mem:Spf_sim.Memory.t ->
+  args:int array ->
+  Spf_ir.Ir.func ->
+  outcome * Spf_sim.Stats.t
+(** Run [func] on the Haswell model to an outcome, with a fixed
+    deterministic meaning for every intrinsic it calls; returns the run's
+    counters too.  The one run-and-classify step of every concrete
+    comparison, here and in the fuzz oracle. *)
+
 val run_one :
   ?cancel:Spf_sim.Exec_state.cancel ->
   env:env ->

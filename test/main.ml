@@ -9,7 +9,7 @@ let () =
       ("parser", Test_parser.suite);
       ("simplify", Test_simplify.suite);
       ("split", Test_split.suite);
-      ("profile", Test_profile.suite);
+      ("attrib", Test_attrib.suite);
       ("timing", Test_timing.suite);
       ("loop-edges", Test_loop_edges.suite);
       ("interp", Test_interp.suite);

@@ -99,17 +99,37 @@ let build ~machine (b : Benches.bench) = function
   | "adaptive" -> adaptive ~machine b
   | v -> Alcotest.failf "unknown golden variant %s" v
 
-(* On a mismatch, fail with the first differing counter spelled out
-   (golden vs simulated, with the row identified) rather than a raw
-   assert — a regression should read as a sentence in the test log. *)
-let check_one ~engine (mname, bid, variant, (cycles, insts, loads, swpf)) () =
+(* One run of a row, with or without a per-pc attribution sink attached
+   (an adaptive row's sink is its tuner's own). *)
+let run_row ~engine ~attributed (mname, bid, variant) =
   let machine = machine_of mname in
   let built, tuner = build ~machine (bench_of bid) variant in
-  let r = Runner.run ~engine ?tuner ~machine built in
-  let s = r.Runner.stats in
-  let mismatch =
-    List.find_opt
-      (fun (_, want, got) -> want <> got)
+  let attrib =
+    match (attributed, tuner) with
+    | false, _ -> None
+    | true, Some tu -> Some (Spf_sim.Tuner.attrib tu)
+    | true, None -> Some (Spf_sim.Attrib.create built.Workload.func)
+  in
+  (Runner.run ~engine ?attrib ?tuner ~machine built).Runner.stats
+
+(* On a mismatch, fail with the first differing counter spelled out
+   (golden vs simulated, with the row identified) rather than a raw
+   assert — a regression should read as a sentence in the test log.
+   Attribution is observation only: in the default engine's cell, an
+   attributed run must reproduce the row too and match the plain run on
+   every counter (the per-pc counters themselves are engine-independent,
+   pinned in the attrib suite). *)
+let check_one ~engine (mname, bid, variant, (cycles, insts, loads, swpf)) () =
+  let row =
+    Printf.sprintf "%s/%s/%s (--engine=%s)" mname bid variant
+      (Spf_sim.Engine.to_string engine)
+  in
+  let check_row label (s : Stats.t) =
+    List.iter
+      (fun (field, want, got) ->
+        if want <> got then
+          Alcotest.failf "golden divergence on %s%s: %s golden=%d got=%d" row
+            label field want got)
       [
         ("cycles", cycles, s.Stats.cycles);
         ("instructions", insts, s.Stats.instructions);
@@ -117,14 +137,17 @@ let check_one ~engine (mname, bid, variant, (cycles, insts, loads, swpf)) () =
         ("sw_prefetches", swpf, s.Stats.sw_prefetches);
       ]
   in
-  match mismatch with
-  | None -> ()
-  | Some (field, want, got) ->
-      Alcotest.failf
-        "golden divergence on %s/%s/%s (--engine=%s): %s golden=%d got=%d"
-        mname bid variant
-        (Spf_sim.Engine.to_string engine)
-        field want got
+  let off = run_row ~engine ~attributed:false (mname, bid, variant) in
+  check_row "" off;
+  if engine = Spf_sim.Engine.default then begin
+    let on = run_row ~engine ~attributed:true (mname, bid, variant) in
+    check_row " with attribution" on;
+    match Stats.first_mismatch off on with
+    | None -> ()
+    | Some (field, a, b) ->
+        Alcotest.failf "attribution moved a counter on %s: %s off=%d on=%d"
+          row field a b
+  end
 
 (* Every golden row runs under BOTH execution engines (interp/tape): the
    pre-decoded tape engine must land on the same cycle as the reference
