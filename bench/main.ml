@@ -293,7 +293,7 @@ let pieces : piece list =
       run =
         (fun ~jobs ~engine ->
           (* The same cells as fig2, but under the whole supervision
-             pipeline with its watchdog armed (a deadline no job hits) —
+             pipeline with a deadline armed (one no job hits) —
              no journal or bundles, so the piece isolates supervision
              overhead; BENCH.json reports it vs the raw fig2 walls. *)
           let sup =

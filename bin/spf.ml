@@ -335,10 +335,11 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"SECS"
         ~doc:
-          "Per-job wall-clock budget.  A watchdog cancels jobs that \
-           exceed it (cooperatively, at basic-block granularity); \
-           timeouts are retried, then reported.  Implies supervised \
-           execution.")
+          "Per-job wall-clock budget.  A job that exceeds it is \
+           cancelled cooperatively: the simulator checks the clock \
+           every 1024 basic blocks (the validator every symbolic step) \
+           and stops at the first check past the deadline.  Timeouts \
+           are retried, then reported.  Implies supervised execution.")
 
 let retries_arg =
   Arg.(
@@ -627,7 +628,7 @@ let fuzz_cmd =
       & info [ "inject-hang" ] ~docv:"N"
           ~doc:
             "(testing) Replace case $(docv) with an infinite simulator \
-             loop, exercising the watchdog/deadline path.  Requires \
+             loop, exercising the deadline cancellation path.  Requires \
              supervised execution ($(b,--deadline)).")
   in
   let inject_crash_arg =
@@ -1093,7 +1094,11 @@ let serve_cmd =
           value
           & opt float 30.
           & info [ "deadline" ] ~docv:"SECONDS"
-              ~doc:"Per-request wall-clock budget (0 disables).")
+              ~doc:
+                "Per-request wall-clock budget (0 disables).  A simulation \
+                 that exceeds it stops at its next clock check (every \
+                 1024 basic blocks) and, after one retry, the client gets \
+                 $(b,ERR <id> timeout deadline exceeded).")
       $ Arg.(
           value
           & opt int 512

@@ -142,7 +142,7 @@ type injected_fault = Hang | Crash
 
 (* Fault-injection hooks for the resilience tests: [Hang] runs an
    infinite IR loop under the simulator with the job's own cancellation
-   token — so an injected hang exercises the very watchdog-fires-token
+   token — so an injected hang exercises the very deadline-expires-token
    path a real runaway simulation would — and [Crash] is a plain
    deterministic exception. *)
 let hang_forever (ctx : Runner.ctx) =

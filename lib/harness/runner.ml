@@ -11,8 +11,8 @@ type result = { stats : Stats.t; machine : string; bench : string }
 
 (* Per-job execution context: everything a supervisor may want to vary
    or revoke under a running job.  [engine = None] means the engine
-   default; [cancel] is the cooperative cancellation token a watchdog
-   fires on deadline. *)
+   default; [cancel] is the cooperative cancellation token carrying the
+   attempt's deadline. *)
 type ctx = {
   engine : Spf_sim.Engine.t option;
   cancel : Spf_sim.Exec_state.cancel option;

@@ -15,7 +15,7 @@ type ctx = {
 }
 (** Per-job execution context, threaded through every supervised figure
     cell: the engine override a supervisor may degrade, and the
-    cancellation token its watchdog fires on deadline. *)
+    cancellation token carrying the attempt's deadline. *)
 
 val null_ctx : ctx
 val ctx_of_engine : Spf_sim.Engine.t option -> ctx
@@ -34,7 +34,7 @@ val run :
     [attrib] counts memory behaviour per pc (profiling); [tuner]
     drives the adaptive distance registers — with both, [attrib] must be
     [Tuner.attrib tuner] (@raise Invalid_argument otherwise).
-    @raise Spf_sim.Exec_state.Cancelled once [cancel] fires. *)
+    @raise Spf_sim.Exec_state.Cancelled once [cancel] expires. *)
 
 val run_ctx :
   ctx ->

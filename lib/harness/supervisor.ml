@@ -11,11 +11,11 @@ module Stats = Spf_sim.Stats
 
      deadline -> retry -> engine fallback -> crash bundle
 
-   - {e deadlines}: a watchdog domain scans the in-flight jobs' start
-     times and fires each job's cooperative cancellation token
-     ({!Spf_sim.Exec_state.cancel}) once its wall-clock budget is spent;
-     the simulation observes the token at block granularity and raises
-     [Cancelled] with its stats-so-far.
+   - {e deadlines}: each attempt's cooperative cancellation token
+     ({!Spf_sim.Exec_state.cancel}) carries the attempt's absolute
+     wall-clock deadline; the simulation compares it with the clock at
+     its poll points (every 1024 blocks) and raises [Cancelled] with its
+     stats-so-far once the budget is spent.  No thread watches the jobs.
    - {e retry}: failures are classified ({!classify}) into transient ones
      (retried under exponential backoff, bounded by [policy.retries]),
      timeouts (also retried — a deadline overrun can be scheduling
@@ -98,23 +98,11 @@ type options = {
   journal : Journal.t option;
   bundle_root : string option;
   sleep : float -> unit;
-  watch_interval_s : float option;
 }
 
 let options ?(policy = default_policy) ?jobs ?engine ?journal ?bundle_root
-    ?(sleep = Unix.sleepf) ?watch_interval_s () =
-  { policy; jobs; engine; journal; bundle_root; sleep; watch_interval_s }
-
-(* Watchdog scan period.  Scanning costs a wakeup (and, on small
-   machines, a domain switch stolen from the workers), so it scales with
-   the deadline: a 1s deadline is enforced to ~10ms, an hour-long one to
-   ~0.5s — both far finer than anyone sets deadlines, and the overhead
-   stays unmeasurable either way. *)
-let watch_interval opts =
-  match (opts.watch_interval_s, opts.policy.deadline_s) with
-  | Some w, _ -> w
-  | None, Some d -> Float.min 0.5 (Float.max 0.01 (d /. 100.0))
-  | None, None -> 0.05
+    ?(sleep = Unix.sleepf) () =
+  { policy; jobs; engine; journal; bundle_root; sleep }
 
 let bundle_root opts = opts.bundle_root
 let journal opts = opts.journal
@@ -173,35 +161,8 @@ let pp_failure fmt (f : failure) =
 
 (* --- the supervised run ------------------------------------------------- *)
 
-(* One in-flight attempt visible to the watchdog: the absolute deadline
-   and the token to fire when it passes. *)
-type flight = { until : float; token : S.cancel }
-
 let run_jobs opts ~encode ~decode jobs =
   let jobs_arr = Array.of_list jobs in
-  let n = Array.length jobs_arr in
-  let flights = Array.init n (fun _ -> Atomic.make (None : flight option)) in
-  let stop = Atomic.make false in
-  let interval = watch_interval opts in
-  (* The watchdog is a systhread, not a domain: an extra domain makes
-     every stop-the-world minor collection synchronise with it, which
-     costs ~25% wall on a single-CPU box, while a thread parked in
-     [select] is invisible to the GC.  It parks on a pipe rather than in
-     [sleepf] so the finally-block below can wake it immediately —
-     joining costs microseconds instead of the remainder of a scan
-     period. *)
-  let watchdog rd () =
-    while not (Atomic.get stop) do
-      let now = Unix.gettimeofday () in
-      Array.iter
-        (fun slot ->
-          match Atomic.get slot with
-          | Some f when now > f.until -> S.cancel f.token
-          | _ -> ())
-        flights;
-      ignore (Unix.select [ rd ] [] [] interval)
-    done
-  in
   let write_bundle (job : 'a job) exn ~cls ~attempts ~notes =
     match opts.bundle_root with
     | None -> None
@@ -256,22 +217,22 @@ let run_jobs opts ~encode ~decode jobs =
         let notes = ref [] in
         let engine = ref opts.engine in
         let rec go attempt =
-          let token = S.new_cancel () in
-          (match opts.policy.deadline_s with
-          | Some d ->
-              Atomic.set flights.(i)
-                (Some { until = Unix.gettimeofday () +. d; token })
-          | None -> ());
-          let ctx = { Runner.engine = !engine; cancel = Some token } in
+          (* The deadline is per attempt: a retry gets a fresh budget. *)
+          let until =
+            match opts.policy.deadline_s with
+            | Some d -> Unix.gettimeofday () +. d
+            | None -> Float.infinity
+          in
+          let ctx =
+            { Runner.engine = !engine; cancel = Some (S.new_cancel ~until) }
+          in
           match job.work ctx with
           | v ->
-              Atomic.set flights.(i) None;
               Option.iter
                 (fun j -> Journal.record j ~key:job.key ~payload:(encode v))
                 opts.journal;
               Ok { value = v; notes = List.rev !notes; resumed = false }
           | exception exn -> (
-              Atomic.set flights.(i) None;
               let cls = classify exn in
               let fail () =
                 let attempts = attempt + 1 in
@@ -318,35 +279,8 @@ let run_jobs opts ~encode ~decode jobs =
         in
         go 0
   in
-  let need_watchdog =
-    opts.policy.deadline_s <> None
-    && Array.exists
-         (fun (job : 'a job) ->
-           match opts.journal with
-           | Some j -> Journal.find j job.key = None
-           | None -> true)
-         jobs_arr
-  in
-  let wd =
-    if need_watchdog then begin
-      let rd, wr = Unix.pipe ~cloexec:true () in
-      Some (Thread.create (watchdog rd) (), rd, wr)
-    end
-    else None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Option.iter
-        (fun (thr, rd, wr) ->
-          (try ignore (Unix.write wr (Bytes.of_string "x") 0 1)
-           with Unix.Unix_error _ -> ());
-          Thread.join thr;
-          Unix.close rd;
-          Unix.close wr)
-        wd)
-    (fun () ->
-      Pool.map ?jobs:opts.jobs attempt_jobs (List.init n Fun.id))
+  Pool.map ?jobs:opts.jobs attempt_jobs
+    (List.init (Array.length jobs_arr) Fun.id)
 
 (* Pretty-print the supervision epilogue (notes + failures) to stderr and
    split the outcomes; the common tail of every supervised campaign. *)

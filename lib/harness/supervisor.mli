@@ -1,5 +1,6 @@
 (** Supervised campaign execution on top of {!Pool}: per-job wall-clock
-    deadlines (watchdog domain + cooperative cancellation), bounded retry
+    deadlines (carried by each attempt's cooperative cancellation token
+    and checked at the engines' poll points), bounded retry
     with exponential backoff, graceful engine degradation, durable
     checkpointing through {!Journal}, and {!Bundle} capture of permanent
     failures.  See docs/ROBUSTNESS.md for the model. *)
@@ -12,7 +13,7 @@ type classification =
   | Decode_failure
       (** an engine's decode raised; fall back down the
           {!Spf_sim.Engine.fallback} chain *)
-  | Timeout  (** the watchdog fired the job's deadline *)
+  | Timeout  (** the attempt ran past its deadline *)
 
 val classification_to_string : classification -> string
 
@@ -49,15 +50,12 @@ val options :
   ?journal:Journal.t ->
   ?bundle_root:string ->
   ?sleep:(float -> unit) ->
-  ?watch_interval_s:float ->
   unit ->
   options
 (** [jobs]/[engine] as in the unsupervised harness entry points;
     [journal] enables checkpoint/resume; [bundle_root] enables crash
     bundles.  [sleep] is injectable so tests can observe backoff without
-    waiting for it.  [watch_interval_s] overrides the watchdog scan
-    period (default: deadline/100 clamped to 10ms..0.5s, so enforcement
-    granularity tracks the deadline and overhead stays unmeasurable). *)
+    waiting for it. *)
 
 val bundle_root : options -> string option
 (** Campaigns that detect non-exceptional failures (e.g. fuzz
@@ -115,7 +113,10 @@ val run_jobs :
   'a job list ->
   ('a outcome, failure) result list
 (** Run every job under the supervision pipeline
-    (deadline -> retry -> fallback -> bundle), in submission order.
+    (deadline -> retry -> fallback -> bundle), in submission order.  Each
+    attempt's ctx carries a fresh token expiring [policy.deadline_s]
+    after the attempt starts (never, without a deadline); the job stops at
+    its first cancellation poll past it.  No thread is started.
     [encode]/[decode] serialize results for the journal; they must
     round-trip exactly for resumed output to be byte-identical.
 

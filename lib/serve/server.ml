@@ -20,7 +20,7 @@
    fuel, verifier violation) raises on its pool domain, is classified
    Deterministic, and becomes that one client's ERR reply — the batch's
    other jobs and the fleet are untouched.  Deadlines ride the same
-   watchdog the campaign runner uses.
+   per-attempt cancellation tokens the campaign runner uses.
 
    Hostile-reality posture (see docs/SERVING.md "Overload, drain, and
    warm-start"):
@@ -196,13 +196,10 @@ let run_batch t batch =
   with
   | exception exn ->
       (* A batch-level failure must not leave handlers blocked on
-         unfilled cells: every request in it gets a classified reply. *)
+         unfilled cells: every request in it gets a classified reply.
+         The handler counts the ERR it sends. *)
       let msg = Service.describe_error exn in
-      List.iter
-        (fun p ->
-          bump t (fun c -> c.errors <- c.errors + 1);
-          cell_fill p.p_cell (Error ("transient", msg)))
-        batch
+      List.iter (fun p -> cell_fill p.p_cell (Error ("transient", msg))) batch
   | results ->
       List.iter2
         (fun p result ->
@@ -210,7 +207,6 @@ let run_batch t batch =
             match result with
             | Ok (o : _ Supervisor.outcome) -> Ok o.Supervisor.value
             | Error (f : Supervisor.failure) ->
-                bump t (fun c -> c.errors <- c.errors + 1);
                 Error
                   ( Supervisor.classification_to_string f.Supervisor.f_class,
                     Service.describe_error f.Supervisor.f_exn )

@@ -17,6 +17,10 @@ type t = {
   mask : int; (* sets - 1 when sets is a power of two, else -1 *)
   assoc : int;
   tags : int array; (* sets * assoc, recency-ordered per set; -1 = invalid *)
+  filled : int array;
+      (* one slot per set: the bases of the sets that became non-empty
+         since the last scrub, in [filled.(0 .. n_filled - 1)] *)
+  mutable n_filled : int;
   mutable released : bool; (* [tags] handed back to the spare pool *)
 }
 
@@ -25,23 +29,27 @@ type t = {
    on every cache and TLB probe, making the division measurable. *)
 let mask_of sets = if sets land (sets - 1) = 0 then sets - 1 else -1
 
-(* Spare tag arrays, per domain and keyed by length.  A Haswell L3 is a
-   131,072-word array: allocating and filling a fresh one costs far more
-   than a short simulation, so instances that are done hand theirs back
-   ({!release}) and the next {!create} of the same length on this domain
-   takes a spare instead.  Spares are pooled already invalidated, so a
-   taken one is indistinguishable from a fresh array.  The mutex covers
-   systhreads sharing the domain; it is only taken at create and
-   release, never per access. *)
-type pool = { lock : Mutex.t; spares : (int, int array list) Hashtbl.t }
+(* Spare tag arrays, per domain and keyed by geometry (sets, assoc).  A
+   Haswell L3 is a 131,072-word array: allocating and filling a fresh
+   one costs far more than a short simulation, so instances that are
+   done hand theirs back ({!release}) and the next {!create} of the same
+   geometry on this domain takes a spare instead.  A spare travels with
+   its fill log; both are pooled already scrubbed, so a taken pair is
+   indistinguishable from fresh arrays.  The mutex covers systhreads
+   sharing the domain; it is only taken at create and release, never
+   per access. *)
+type pool = {
+  lock : Mutex.t;
+  spares : (int * int, (int array * int array) list) Hashtbl.t;
+}
 
 let pool_key : pool Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       { lock = Mutex.create (); spares = Hashtbl.create 8 })
 
-(* Spares kept per length: one memory system can hold two caches of one
-   length (A53's L1 and TLB are both 512 ways), and a create/run/release
-   loop needs no more than one instance's worth. *)
+(* Spares kept per geometry: one memory system can hold two caches of
+   one geometry (A53's L1 and TLB are both 128 sets x 4 ways), and a
+   create/run/release loop needs no more than one instance's worth. *)
 let max_spares = 2
 
 let with_pool f =
@@ -49,23 +57,28 @@ let with_pool f =
   Mutex.lock p.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) (fun () -> f p.spares)
 
-let take_tags n =
+let take ~sets ~assoc =
   let spare =
     with_pool (fun spares ->
-        match Hashtbl.find_opt spares n with
+        match Hashtbl.find_opt spares (sets, assoc) with
         | Some (a :: rest) ->
-            Hashtbl.replace spares n rest;
+            Hashtbl.replace spares (sets, assoc) rest;
             Some a
         | Some [] | None -> None)
   in
-  match spare with Some a -> a | None -> Array.make n (-1)
+  match spare with
+  | Some a -> a
+  | None -> (Array.make (sets * assoc) (-1), Array.make sets 0)
 
 let make ~sets ~assoc =
+  let tags, filled = take ~sets ~assoc in
   {
     sets;
     mask = mask_of sets;
     assoc;
-    tags = take_tags (sets * assoc);
+    tags;
+    filled;
+    n_filled = 0;
     released = false;
   }
 
@@ -75,32 +88,31 @@ let create ~size ~assoc ~unit_shift =
 
 let create_entries ~entries ~assoc = make ~sets:(max 1 (entries / assoc)) ~assoc
 
-(* Invalidate every way.  The valid ways of a set always form a prefix
-   — every insert moves its key to the front, and no operation
-   invalidates a single way — so each set's scan stops at its first
-   invalid way: an untouched set costs one read, and a short simulation
-   leaves most of a large cache untouched.  (A full [Array.fill] of a
-   Haswell L3 costs about as much as allocating a fresh one.) *)
+(* Invalidate every way by invalidating the sets in the fill log: every
+   non-empty set is in it ({!evict_into}), so an untouched set costs
+   nothing, and a short simulation leaves most of a large cache
+   untouched.  Reading every set instead — even one word each — costs a
+   Haswell L3's 8192 reads per release, and a full [Array.fill] about as
+   much as allocating a fresh array. *)
 let scrub t =
   let tags = t.tags in
-  for s = 0 to t.sets - 1 do
-    let base = s * t.assoc in
-    let w = ref 0 in
-    while !w < t.assoc && Array.unsafe_get tags (base + !w) <> -1 do
-      Array.unsafe_set tags (base + !w) (-1);
-      incr w
+  for k = 0 to t.n_filled - 1 do
+    let base = t.filled.(k) in
+    for w = base to base + t.assoc - 1 do
+      Array.unsafe_set tags w (-1)
     done
-  done
+  done;
+  t.n_filled <- 0
 
 let release t =
   if not t.released then begin
     t.released <- true;
     scrub t;
-    let n = Array.length t.tags in
+    let geom = (t.sets, t.assoc) in
     with_pool (fun spares ->
-        let held = Option.value (Hashtbl.find_opt spares n) ~default:[] in
+        let held = Option.value (Hashtbl.find_opt spares geom) ~default:[] in
         if List.length held < max_spares then
-          Hashtbl.replace spares n (t.tags :: held))
+          Hashtbl.replace spares geom ((t.tags, t.filled) :: held))
   end
 
 let spares () =
@@ -153,10 +165,19 @@ let access t key =
   else false
 
 (* Evict the set's LRU way and put [key] in front; the victim, or -1
-   when the way was invalid. *)
+   when the way was invalid.  This is the only place a set goes from
+   empty to non-empty: the valid ways of a set always form a prefix —
+   every insert moves its key to the front, and no operation
+   invalidates a single way — so the set was empty exactly when its way
+   0 is invalid, and that is when it enters the fill log. *)
 let evict_into t key ~base =
-  let old = Array.unsafe_get t.tags (base + t.assoc - 1) in
-  promote t.tags ~base ~w:(t.assoc - 1) key;
+  let tags = t.tags in
+  if Array.unsafe_get tags base = -1 then begin
+    t.filled.(t.n_filled) <- base;
+    t.n_filled <- t.n_filled + 1
+  end;
+  let old = Array.unsafe_get tags (base + t.assoc - 1) in
+  promote tags ~base ~w:(t.assoc - 1) key;
   old
 
 (* Insert a key (refreshing its recency if already present), evicting
@@ -182,5 +203,5 @@ let insert t key =
    as a plain int (-1 = none) so an eviction allocates nothing. *)
 let insert_absent t key = evict_into t key ~base:(set_of t key * t.assoc)
 
-let clear t = Array.fill t.tags 0 (Array.length t.tags) (-1)
+let clear = scrub
 let capacity t = t.sets * t.assoc

@@ -12,17 +12,19 @@ val create : size:int -> assoc:int -> unit_shift:int -> t
 val create_entries : entries:int -> assoc:int -> t
 (** Size by entry count (used for TLBs).
 
-    Both constructors reuse a spare tag array of the right length from
+    Both constructors reuse a spare tag array of the same geometry from
     the calling domain's pool when one exists (see {!release}); spares
     are pooled empty, so the new cache is indistinguishable from a fresh
     one. *)
 
 val release : t -> unit
 (** Invalidate the cache's tag array and hand it back to the calling
-    domain's spare pool (which keeps a small fixed number per length and
-    drops the rest).  The cache must not be used afterwards: its array
-    may back the next cache created on this domain.  Releasing twice is
-    a no-op. *)
+    domain's spare pool (which keeps a small fixed number per geometry
+    and drops the rest).  Only the sets that became non-empty since
+    creation (or the last {!clear}) are rewritten, so releasing costs
+    what the run touched, not the cache's size.  The cache must not be
+    used afterwards: its array may back the next cache created on this
+    domain.  Releasing twice is a no-op. *)
 
 val spares : unit -> int
 (** Spare tag arrays currently held by the calling domain's pool. *)
@@ -35,7 +37,8 @@ val access : t -> int -> bool
 
 val insert : t -> int -> int option
 (** Insert a key (refreshing it if already present); returns the evicted
-    key if a valid entry was displaced. *)
+    key if a valid entry was displaced.  Keys are non-negative ([-1]
+    marks an invalid way). *)
 
 val insert_absent : t -> int -> int
 (** {!insert} for a key the caller has just proven absent (its [access]
@@ -45,4 +48,7 @@ val insert_absent : t -> int -> int
     invalid (no [option], so an eviction allocates nothing). *)
 
 val clear : t -> unit
+(** Invalidate every entry; like {!release}, costs only the sets filled
+    since the last clear. *)
+
 val capacity : t -> int

@@ -23,17 +23,19 @@ exception Trap of fault
 
 exception Fuel_exhausted
 
-(* Cooperative cancellation: a watchdog (or any other domain) sets the
-   flag; the engines poll it at block granularity and bail out with
-   [Cancelled], carrying the stats accumulated so far — that is what a
-   crash bundle records as "stats-so-far" for a job that ran away. *)
-type cancel = { cancelled : bool Atomic.t }
+(* Cooperative cancellation: the token is the absolute wall-clock
+   deadline itself.  The engines compare it with the clock at their poll
+   points (every 1024 blocks) and bail out with [Cancelled], carrying
+   the stats accumulated so far — that is what a crash bundle records
+   as "stats-so-far" for a job that ran away.  Nothing has to fire the
+   token, so no thread watches it; a token without a deadline
+   ([until = infinity]) never reads the clock. *)
+type cancel = { until : float (* [Unix.gettimeofday] time *) }
 
 exception Cancelled of Stats.t
 
-let new_cancel () = { cancelled = Atomic.make false }
-let cancel c = Atomic.set c.cancelled true
-let is_cancelled c = Atomic.get c.cancelled
+let new_cancel ~until = { until }
+let is_cancelled c = c.until < Float.infinity && Unix.gettimeofday () > c.until
 
 let fault_to_string { pc; addr; width; is_store } =
   Printf.sprintf "%s of %d byte(s) at address %d faulted (instr %d)"
@@ -130,13 +132,13 @@ let create ~machine ~tscale ~dram ?stats ?cancel ?attrib ?tuner
   (match tuner with Some tu -> Tuner.init_env tu t.env | None -> ());
   t
 
-(* Raise [Cancelled] if this state's token has been fired.  Called by the
-   engines' run loops every few hundred blocks — cheap enough to be
-   invisible, frequent enough that a watchdog deadline is observed within
-   microseconds of simulated work. *)
+(* Raise [Cancelled] once this state's deadline has passed.  Called by
+   the engines' run loops every 1024 blocks — one clock read per poll is
+   invisible next to the simulated work, and a deadline is observed
+   within microseconds of passing. *)
 let poll_cancel t =
   match t.cancel with
-  | Some c when Atomic.get c.cancelled -> raise (Cancelled t.stats)
+  | Some c when is_cancelled c -> raise (Cancelled t.stats)
   | _ -> ()
 
 (* --- operand access ---------------------------------------------------- *)

@@ -12,18 +12,25 @@ exception Fuel_exhausted
 
 (** {1 Cooperative cancellation}
 
-    A [cancel] token is shared between a running simulation and whoever
-    supervises it (e.g. {!Spf_harness}'s watchdog).  Firing the token from
-    any domain makes the engines raise [Cancelled] at their next poll
-    point (block granularity), carrying the stats accumulated so far. *)
+    A [cancel] token carries an absolute wall-clock deadline, set by
+    whoever supervises the run (e.g. {!Spf_harness}'s supervisor, per
+    attempt).  The engines compare it with the clock at their poll points
+    — every 1024 blocks — and raise [Cancelled] at the first poll past
+    it, carrying the stats accumulated so far.  No thread fires the
+    token. *)
 
 type cancel
 
 exception Cancelled of Stats.t
 
-val new_cancel : unit -> cancel
-val cancel : cancel -> unit
+val new_cancel : until:float -> cancel
+(** A token that expires once [Unix.gettimeofday ()] passes [until].  A
+    token with [until = infinity] never expires and never reads the
+    clock; one with a past [until] is already expired. *)
+
 val is_cancelled : cancel -> bool
+(** Whether the token's deadline has passed (one clock read, unless
+    [until = infinity]). *)
 
 val fault_to_string : fault -> string
 
@@ -78,7 +85,7 @@ val create :
     [Tuner.attrib tuner]. *)
 
 val poll_cancel : t -> unit
-(** @raise Cancelled if this state's token (if any) has been fired. *)
+(** @raise Cancelled if this state's token (if any) has expired. *)
 
 val ival : t -> Spf_ir.Ir.operand -> int
 val fval : t -> Spf_ir.Ir.operand -> float

@@ -46,7 +46,6 @@ exception Cancelled = S.Cancelled
 type cancel = S.cancel
 
 let new_cancel = S.new_cancel
-let fire_cancel = S.cancel
 let fault_to_string = S.fault_to_string
 
 (* Parallel phi copies for one CFG edge, precomputed at {!create} so the
@@ -317,8 +316,8 @@ let step t =
   | Tape p -> Tape.step p t.st
 
 (* Cancellation poll mask: the engines check the token every [poll_mask
-   + 1] blocks, so supervision costs one land+branch per block and an
-   atomic read only every 1024th. *)
+   + 1] blocks, so supervision costs one land+branch per block and a
+   clock read only every 1024th. *)
 let poll_mask = 1023
 
 let run ?(fuel = max_int) t =

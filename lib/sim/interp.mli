@@ -26,11 +26,12 @@ type cancel = Exec_state.cancel
 (** Cooperative cancellation token (see {!Exec_state}). *)
 
 exception Cancelled of Stats.t
-(** Raised by {!run} (at block granularity) once the instance's [cancel]
-    token has been fired, carrying the stats accumulated so far. *)
+(** Raised by {!run} (every 1024 blocks) once the instance's [cancel]
+    token has expired, carrying the stats accumulated so far. *)
 
-val new_cancel : unit -> cancel
-val fire_cancel : cancel -> unit
+val new_cancel : until:float -> cancel
+(** {!Exec_state.new_cancel}: a token expiring at wall-clock time
+    [until]. *)
 
 val fault_to_string : fault -> string
 
@@ -70,10 +71,10 @@ val run : ?fuel:int -> t -> unit
 (** Run to completion.
     @raise Fuel_exhausted if [fuel] blocks are exceeded.
     @raise Trap on a demand access to an unmapped address.
-    @raise Cancelled once the instance's cancel token fires. *)
+    @raise Cancelled once the instance's cancel token expires. *)
 
 val poll_cancel : t -> unit
-(** @raise Cancelled if the instance's token has been fired — the
+(** @raise Cancelled if the instance's token has expired — the
     multicore driver's poll point between core steps. *)
 
 val release : t -> unit

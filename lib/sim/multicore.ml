@@ -58,7 +58,7 @@ let run ?(fuel = max_int) t =
   done;
   let steps = ref 0 in
   (* Cancellation poll: any core carries the (shared) token, so checking
-     the one being stepped every 1024 steps observes a watchdog deadline
+     the one being stepped every 1024 steps observes its deadline
      without touching the per-step hot path. *)
   let poll_mask = 1023 in
   while !size > 0 && !steps < fuel do

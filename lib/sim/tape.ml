@@ -543,7 +543,7 @@ let take_edge p (st : S.t) e =
   st.S.cur <- Array.unsafe_get p.e_succ e
 
 (* Cancellation poll mask: same observable granularity as the other
-   engines' run loops (an atomic read every 1024th block). *)
+   engines' run loops (a clock read every 1024th block). *)
 let poll_mask = 1023
 
 (* Execute up to [fuel] original basic blocks starting from [st.cur];

@@ -1,9 +1,11 @@
-(* @serve-smoke: end-to-end exercise of a spawned `spf serve` daemon on
-   a temp Unix socket — PING, a cold/hot submit pair with a
+(* @serve-smoke: end-to-end exercise of a spawned `spf serve --deadline
+   1` daemon on a temp Unix socket — PING, a cold/hot submit pair with a
    byte-identical-body assertion, a mixed hot/cold concurrent burst, one
    injected poisoned request (which must become a classified ERR reply
-   while the fleet keeps serving), STATS, and a clean protocol-initiated
-   shutdown (the daemon must exit 0).
+   while the fleet keeps serving), one runaway program (which must time
+   out, after which a new program still gets the body a fresh in-process
+   run renders), STATS, and a clean protocol-initiated shutdown (the
+   daemon must exit 0).
 
    Usage: serve_smoke.exe <path-to-spf.exe>                             *)
 
@@ -19,15 +21,32 @@ let check name ok =
     incr failures
   end
 
-(* One known-good program, same generator the loadtest replays. *)
-let good_case =
-  let rng = Spf_workloads.Rng.split ~seed:11 0 in
+(* Known-good programs, same generator the loadtest replays. *)
+let gen_case seed =
+  let rng = Spf_workloads.Rng.split ~seed 0 in
   let spec = Spf_fuzz.Gen.random rng in
   let built = Spf_fuzz.Gen.build spec in
   Spf_valid.Case.to_string
     (Spf_valid.Case.of_concrete ~func:built.Spf_fuzz.Gen.func
        ~mem:built.Spf_fuzz.Gen.mem ~args:built.Spf_fuzz.Gen.args
        ~fuel:(Spf_fuzz.Gen.fuel spec))
+
+let good_case = gen_case 11
+
+(* First submitted after the runaway program has timed out. *)
+let after_timeout_case = gen_case 12
+
+(* The reply body of a cold run of [case_text], rendered in this process
+   on fresh caches. *)
+let expected_body case_text =
+  match Spf_serve.Proto.request_of ~id:"x" ~opts:[] ~case_text with
+  | Error e -> failwith ("expected body: " ^ e)
+  | Ok req ->
+      (Spf_serve.Service.run
+         ~cache:(Spf_serve.Rcache.create ())
+         ~ctx:Spf_harness.Runner.null_ctx
+         (Spf_serve.Service.prepare req))
+        .Spf_serve.Service.body
 
 (* A demand fault: load far beyond the program break. *)
 let poison_case =
@@ -36,6 +55,22 @@ let poison_case =
    bb0 (entry):\n\
   \  %v.0 = load i32, #1048576\n\
   \  ret %v.0\n\
+   }\n"
+
+(* Loops forever (a billion blocks of fuel), loading a new line and page
+   on every trip: only the deadline stops it, with every cache level and
+   the TLB dirty. *)
+let spin_case =
+  ";; spf-case v1\n!brk 262144\n!fuel 1000000000\n\
+   func spin (0 params, entry bb0) {\n\
+   bb0 (entry):\n\
+  \  br bb1\n\
+   bb1 (spin):\n\
+  \  %i.0 = phi [bb0: #0], [bb1: %v.3]\n\
+  \  %v.1 = and %i.0, #262143\n\
+  \  %v.2 = load i32, %v.1\n\
+  \  %v.3 = add %i.0, #4160\n\
+  \  br bb1\n\
    }\n"
 
 let rec connect_retry sock n =
@@ -51,7 +86,7 @@ let () =
   Sys.remove sock;
   let pid =
     Unix.create_process spf
-      [| spf; "serve"; "--socket"; sock |]
+      [| spf; "serve"; "--socket"; sock; "--deadline"; "1" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let finished = ref false in
@@ -103,6 +138,21 @@ let () =
             (r.Spf_serve.Proto.r_cache = "sim-hit"
             && r.Spf_serve.Proto.r_body = cold.Spf_serve.Proto.r_body)
       | Error e -> failwith ("post-poison submit: " ^ e));
+      (* Runaway program: cancelled at the deadline, retried once, then
+         a classified timeout.  The next new program runs on the arrays
+         the runaway released and must render exactly what a fresh run
+         does. *)
+      (match Client.submit c ~id:"spin" ~case_text:spin_case () with
+      | Ok r ->
+          check "runaway program times out"
+            (r.Spf_serve.Proto.r_err = Some ("timeout", "deadline exceeded"))
+      | Error e -> failwith ("spin submit: " ^ e));
+      (match Client.submit c ~id:"fresh" ~case_text:after_timeout_case () with
+      | Ok r ->
+          check "next program after the timeout is cold and byte-identical"
+            (r.Spf_serve.Proto.r_cache = "cold"
+            && r.Spf_serve.Proto.r_body = expected_body after_timeout_case)
+      | Error e -> failwith ("post-timeout submit: " ^ e));
       (* Mixed hot/cold concurrent burst with reply-integrity checks. *)
       let burst =
         Loadtest.run ~seed:7 ~count:40 ~dup:0.5 ~concurrency:4
@@ -120,7 +170,8 @@ let () =
       | Ok kv ->
           let get k = Option.value ~default:(-1) (List.assoc_opt k kv) in
           check "STATS counts the hits" (get "sim_hits" >= 2);
-          check "STATS counts the fault" (get "errors" >= 1)
+          check "STATS counts each fault once (poison, timeout)"
+            (get "errors" = 2)
       | Error e -> failwith ("stats: " ^ e));
       check "SHUTDOWN acknowledged" (Client.shutdown c);
       Client.close c;

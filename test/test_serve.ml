@@ -243,13 +243,19 @@ let dirty_then_trap_case =
   ^ String.concat "" loads
   ^ "  %v.32 = load i32, #1048576\n  ret %v.32\n}\n"
 
+(* [p]'s reply on fresh tag arrays: run on a domain of its own, whose
+   spare pool starts empty, so nothing earlier tests released on this
+   domain can warm it. *)
+let run_on_fresh_arrays p =
+  Domain.join
+    (Domain.spawn (fun () ->
+         Service.run ~cache:(Rcache.create ()) ~ctx:Runner.null_ctx p))
+
 let test_trap_releases_clean () =
   (* A trapped simulation hands its tag arrays back on the exception
      path; the next request on this domain reuses them and must answer
      byte for byte as it would on a fresh cache. *)
-  let fresh =
-    Service.run ~cache:(Rcache.create ()) ~ctx:Runner.null_ctx (prepare_opts [])
-  in
+  let fresh = run_on_fresh_arrays (prepare_opts []) in
   let trap =
     match Proto.request_of ~id:"d" ~opts:[] ~case_text:dirty_then_trap_case with
     | Ok r -> Service.prepare r
@@ -476,6 +482,59 @@ let stat kv k =
   | Some v -> v
   | None -> Alcotest.fail ("STATS lacks " ^ k)
 
+(* Branches to itself until a billion blocks of fuel run out — only a
+   deadline stops it in test time — loading a new line and page on
+   every trip, so it dirties every cache level and the TLB. *)
+let spin_case =
+  ";; spf-case v1\n!brk 262144\n!fuel 1000000000\n\
+   func spin (0 params, entry bb0) {\n\
+   bb0 (entry):\n\
+  \  br bb1\n\
+   bb1 (spin):\n\
+  \  %i.0 = phi [bb0: #0], [bb1: %v.3]\n\
+  \  %v.1 = and %i.0, #262143\n\
+  \  %v.2 = load i32, %v.1\n\
+  \  %v.3 = add %i.0, #4160\n\
+  \  br bb1\n\
+   }\n"
+
+let test_deadline_classified () =
+  (* The runaway simulation is cancelled at its first poll past the
+     0.2 s deadline, retried once after the policy's 0.25 s backoff,
+     cancelled again and answered as a classified timeout.  Its dirty
+     tag arrays went back to the pool domain's spares on both exits; the
+     next program, cold, must still answer byte for byte as on a fresh
+     cache. *)
+  let sock = scratch "deadline.sock" in
+  let cfg = { (test_cfg sock) with Server.deadline_s = Some 0.2 } in
+  let fresh = run_on_fresh_arrays (prepare_opts []) in
+  with_server cfg (fun _ ->
+      with_client sock (fun c ->
+          let t0 = Unix.gettimeofday () in
+          (match Client.submit c ~id:"spin" ~case_text:spin_case () with
+          | Error e -> Alcotest.fail e
+          | Ok r ->
+              Alcotest.(check (option (pair string string)))
+                "classified timeout"
+                (Some ("timeout", "deadline exceeded"))
+                r.Proto.r_err);
+          let took = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "two attempts and a backoff (%.2f s)" took)
+            true
+            (took >= 0.65 && took < 10.);
+          (match
+             Client.submit c ~id:"good" ~case_text:(Lazy.force case_text) ()
+           with
+          | Error e -> Alcotest.fail e
+          | Ok r ->
+              Alcotest.(check string) "next program runs cold" "cold"
+                r.Proto.r_cache;
+              Alcotest.(check (list string)) "cold body as on a fresh cache"
+                fresh.Service.body r.Proto.r_body);
+          let kv = stats_of c in
+          Alcotest.(check int) "one error" 1 (stat kv "errors")))
+
 let test_index_counter_parity () =
   (* Three programs through a two-entry sim level: B is evicted by C and
      then resubmitted (its index entry outlives its body), A is evicted
@@ -562,6 +621,8 @@ let suite =
       test_oversized_request_classified;
     Alcotest.test_case "idle connection times out" `Quick
       test_idle_timeout_classified;
+    Alcotest.test_case "runaway request times out, next one is clean" `Quick
+      test_deadline_classified;
     Alcotest.test_case "journal warm restart byte-identical" `Quick
       test_journal_warm_restart;
     Alcotest.test_case "index keeps the sim counters" `Quick

@@ -5,7 +5,7 @@ module Interp = Spf_sim.Interp
 module Is = Spf_workloads.Is
 
 (* The supervision pipeline (docs/ROBUSTNESS.md): failure classification,
-   bounded exponential backoff, watchdog deadlines firing the cooperative
+   bounded exponential backoff, deadlines carried by the cooperative
    cancellation token, and graceful engine degradation. *)
 
 let encode (v : int) = Marshal.to_string v []
@@ -130,7 +130,7 @@ let test_deadline_fires () =
       Alcotest.check classification "class" Sup.Timeout f.Sup.f_class;
       Alcotest.(check bool)
         "cancelled in bounded time (not hung)" true
-        (Unix.gettimeofday () -. t0 < 30.0);
+        (Unix.gettimeofday () -. t0 < 5.0);
       Alcotest.(check bool)
         "Cancelled carries stats-so-far" true
         (match f.Sup.f_exn with
@@ -138,6 +138,27 @@ let test_deadline_fires () =
             st.Spf_sim.Stats.instructions > 0
         | _ -> false)
   | _ -> Alcotest.fail "expected a single timeout Error"
+
+(* A deadline costs no thread: 20 supervised batches with a deadline
+   start none, so two throwaway threads taken around them get
+   consecutive ids. *)
+let test_no_thread_per_deadline () =
+  let thread_id () =
+    let t = Thread.create ignore () in
+    Thread.join t;
+    Thread.id t
+  in
+  let policy =
+    { Sup.default_policy with deadline_s = Some 30.0; retries = 0 }
+  in
+  let before = thread_id () in
+  for _ = 1 to 20 do
+    match run_jobs ~policy [ job "t/0" (fun _ -> 7) ] with
+    | [ Ok _ ] -> ()
+    | _ -> Alcotest.fail "trivial job failed"
+  done;
+  Alcotest.(check int) "no thread started by 20 deadline batches" 1
+    (thread_id () - before)
 
 let test_deadline_spares_fast_jobs () =
   let policy =
@@ -281,10 +302,12 @@ let suite =
       test_retries_exhausted;
     Alcotest.test_case "deterministic failures are not retried" `Quick
       test_deterministic_not_retried;
-    Alcotest.test_case "watchdog cancels a runaway simulation" `Quick
+    Alcotest.test_case "deadline cancels a runaway simulation" `Quick
       test_deadline_fires;
     Alcotest.test_case "generous deadline leaves fast jobs alone" `Quick
       test_deadline_spares_fast_jobs;
+    Alcotest.test_case "a deadline starts no thread" `Quick
+      test_no_thread_per_deadline;
     Alcotest.test_case "decode failure falls back to identical interp run"
       `Quick test_engine_fallback_identical_stats;
     Alcotest.test_case "tape decode failure walks the whole fallback chain"

@@ -103,7 +103,7 @@ let test_fuel_exhaustion_at_fused_gep_load () =
   stats_equal "fuel exhaustion at fused micro-ops" si st
 
 let test_cancellation_same_block_count () =
-  (* A pre-fired token and an infinite arithmetic loop: every engine
+  (* An already-expired token and an infinite arithmetic loop: every engine
      polls at the same 1024-block granularity, so the stats carried by
      [Cancelled] — instruction count included — must be identical across
      both, tape seams notwithstanding. *)
@@ -120,8 +120,7 @@ let test_cancellation_same_block_count () =
     Builder.finish b
   in
   let cancelled_stats engine =
-    let cancel = Interp.new_cancel () in
-    Interp.fire_cancel cancel;
+    let cancel = Interp.new_cancel ~until:0. in
     let st =
       Interp.create ~machine:Machine.haswell ~engine ~cancel
         ~mem:(Memory.create ()) ~args:[||] (spin ())

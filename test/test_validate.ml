@@ -95,6 +95,27 @@ let test_case_round_trip () =
   | Validate.Proved _ -> ()
   | o -> Alcotest.failf "reloaded case: %s" (Validate.outcome_to_string o)
 
+(* A supervised validation stops at the symbolic checker's per-step
+   poll once its deadline has passed: an already-expired token gives up
+   with the classified reason, and a distant deadline changes nothing. *)
+let test_expired_token_gives_up () =
+  let b = Gen.build spec in
+  let case =
+    Case.of_concrete ~func:b.Gen.func ~mem:b.Gen.mem ~args:b.Gen.args
+      ~fuel:(Gen.fuel spec)
+  in
+  let check_until until =
+    Validate.check_case ~cancel:(Spf_sim.Exec_state.new_cancel ~until) case
+  in
+  (match check_until 0. with
+  | Validate.Gave_up r ->
+      Alcotest.(check string) "give-up reason"
+        "cancelled (supervision deadline)" r
+  | o -> Alcotest.failf "expired token: %s" (Validate.outcome_to_string o));
+  match check_until (Unix.gettimeofday () +. 3600.) with
+  | Validate.Proved _ -> ()
+  | o -> Alcotest.failf "distant deadline: %s" (Validate.outcome_to_string o)
+
 let test_mem_bad_hex_rejected () =
   (* [!mem] bytes go through the journal's hex codec: an underscore
      (which [int_of_string "0x3_"] reads as 3), an odd digit count and a
@@ -168,6 +189,8 @@ let suite =
       `Quick test_refutes_unsound_margin;
     Alcotest.test_case "case files round-trip" `Quick test_case_round_trip;
     Alcotest.test_case "!mem rejects bad hex" `Quick test_mem_bad_hex_rejected;
+    Alcotest.test_case "expired token gives up, classified" `Quick
+      test_expired_token_gives_up;
     Alcotest.test_case "symbolic oracle: agree and diverge" `Quick
       test_symbolic_oracle_agrees_and_diverges;
     Alcotest.test_case "replay rejects unknown oracle modes" `Quick
