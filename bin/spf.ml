@@ -758,9 +758,9 @@ let validate_cmd =
       & info [ "golden" ]
           ~doc:
             "Validate the six distinct (program, transformed) pairs \
-             behind the 44-row golden timing suite: IS, CG, RA, HJ-2 and \
-             HJ-8 under the automatic pass, plus HJ-8 under the manual \
-             scheme.")
+             behind the golden timing suite (34 rows under both engines, \
+             68 cells): IS, CG, RA, HJ-2 and HJ-8 under the automatic \
+             pass, plus HJ-8 under the manual scheme.")
   in
   let corpus_arg =
     Arg.(

@@ -14,8 +14,8 @@ module IntSet = Set.Make (Int)
      this is the "no loads conditional on loop-variant values" rule;
    - no store in the loop may alias an address-generating load's array;
    - a clamp bound for the look-ahead index can be established, either from
-     the loop's (single) exit condition or from the look-ahead array's
-     allocation size. *)
+     the loop's (single) exit condition, when it steps by 1, or from the
+     look-ahead array's allocation size. *)
 
 type reject =
   | No_candidate (* DFS found no induction variable *)
@@ -30,6 +30,8 @@ type reject =
   | Pure_stride (* t = 1: left to the hardware prefetcher (§4.3) *)
   | Duplicate
   | Provider_disabled (* the distance provider turned this loop off *)
+  | Non_unit_step
+      (* only the exit bound gives a clamp, and the loop does not step by 1 *)
 
 let string_of_reject = function
   | No_candidate -> "no induction variable reachable"
@@ -44,6 +46,7 @@ let string_of_reject = function
   | Pure_stride -> "pure stride access: left to the hardware prefetcher"
   | Duplicate -> "identical prefetch already emitted"
   | Provider_disabled -> "distance provider disabled prefetching for this loop"
+  | Non_unit_step -> "loop-bound clamp needs a unit step"
 
 (* How to clamp the looked-ahead induction value (line 49 of Algorithm 1):
    either a known constant limit, or [base + delta] for a loop-invariant
@@ -200,13 +203,18 @@ let vet (a : Analysis.t) (config : Config.t) (cand : Dfs.candidate) :
               let from_bound =
                 if single_exit then clamp_from_bound cand.iv else None
               in
+              (* The bound clamp is the last value the exit test admits,
+                 which a loop stepping by k > 1 need not visit: its
+                 look-ahead could read past everything the loop reads.
+                 The allocation clamp holds for any step. *)
               match from_bound with
-              | Some c -> Ok c
-              | None -> (
+              | Some c when cand.iv.step = 1 -> Ok c
+              | _ -> (
                   match
                     clamp_from_alloc a cand ~n_chain_loads:(List.length chain)
                   with
                   | Some c -> Ok c
+                  | None when Option.is_some from_bound -> Error Non_unit_step
                   | None -> Error No_clamp)
             end
           end

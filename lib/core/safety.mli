@@ -14,6 +14,9 @@ type reject =
   | Pure_stride  (** t = 1: left to the hardware prefetcher (§4.3) *)
   | Duplicate
   | Provider_disabled  (** the distance provider turned this loop off *)
+  | Non_unit_step
+      (** only the exit bound gives a clamp, and the loop does not step by
+          1, so the last value the exit test admits need not be visited *)
 
 val string_of_reject : reject -> string
 

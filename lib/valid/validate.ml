@@ -72,9 +72,10 @@ let check_case ?cancel ?config ?equiv (c : Case.t) =
 (* The golden suite                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Every distinct (program, transformed program) pair behind the 44-row
-   golden timing suite: the five timing-golden benchmarks under the
-   automatic pass, plus the one manual scheme the suite pins (HJ-8). *)
+(* Every distinct (program, transformed program) pair behind the golden
+   timing suite (34 rows under both engines, 68 cells): the five
+   timing-golden benchmarks under the automatic pass, plus the one manual
+   scheme the suite pins (HJ-8). *)
 
 let golden_fuel = 200_000_000
 

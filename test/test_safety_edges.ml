@@ -170,9 +170,9 @@ module Model = Spf_valid.Model
 let n_keys = 64
 let len_t = 32
 
-(* for i = 0; i < bound; i++ do body i done.  The body callback may open
-   extra blocks; whatever block it leaves current becomes the latch. *)
-let for_loop b ~bound body =
+(* for i = 0; i < bound; i += step do body i done.  The body callback may
+   open extra blocks; whatever block it leaves current becomes the latch. *)
+let for_loop ?(step = 1) b ~bound body =
   let head = Builder.new_block b "head" in
   let bodyb = Builder.new_block b "body" in
   let exit = Builder.new_block b "exit" in
@@ -184,7 +184,7 @@ let for_loop b ~bound body =
   Builder.cbr b c bodyb exit;
   Builder.set_block b bodyb;
   body i;
-  let i' = Builder.add b i (Ir.Imm 1) in
+  let i' = Builder.add b i (Ir.Imm step) in
   let latch = Builder.current_block b in
   Builder.br b head;
   Builder.add_incoming b i ~pred:latch i';
@@ -199,10 +199,12 @@ let with_func k =
 let chase_key b a i = Builder.load ~name:"k" b Ir.I32 (Builder.gep b a i 4)
 let chase_val b tgt k = Builder.load ~name:"v" b Ir.I32 (Builder.gep b tgt k 4)
 
-(* The baseline accept kernel: for i < 64: v = tgt[a[i]]. *)
-let k_indirect () =
+(* The baseline accept kernel: for i < 64: v = tgt[a[i]].  Its step-2
+   twin may not clamp to the bound's 63, which it never visits; [a] is a
+   parameter, so no allocation clamp is available either. *)
+let k_indirect ~step () =
   with_func (fun b a tgt ->
-      for_loop b ~bound:(Ir.Imm n_keys) (fun i ->
+      for_loop ~step b ~bound:(Ir.Imm n_keys) (fun i ->
           ignore (chase_val b tgt (chase_key b a i))))
 
 let k_call ~pure () =
@@ -408,8 +410,11 @@ type row = {
 let rows =
   let std = Config.default in
   [
-    { row = "baseline accept"; config = std; build = k_indirect; env = env2;
-      expect = Emits };
+    { row = "baseline accept"; config = std; build = k_indirect ~step:1;
+      env = env2; expect = Emits };
+    { row = "step-2 twin rejects (bound clamp needs unit step)"; config = std;
+      build = k_indirect ~step:2; env = env2;
+      expect = Rejects Safety.Non_unit_step };
     { row = "call rejects"; config = std; build = k_call ~pure:false;
       env = env2; expect = Rejects Safety.Contains_call };
     { row = "pure call accepts when allowed";
