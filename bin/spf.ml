@@ -16,7 +16,8 @@
    --retries, which run the simulations under Spf_harness.Supervisor:
    per-job deadlines, bounded retry, checkpoint/resume (byte-identical
    stdout) and replayable crash bundles under DIR/bundles.  Exit codes:
-   0 success, 1 fuzz divergence, 3 supervised campaign incomplete. *)
+   0 success, 1 fuzz divergence, 2 usage error (an unknown figure, a
+   stale profile...), 3 supervised campaign incomplete. *)
 
 module Machine = Spf_sim.Machine
 module Workload = Spf_workloads.Workload
@@ -324,10 +325,11 @@ let resume_arg =
         ~doc:
           "Campaign directory: completed cells are journalled to \
            $(docv)/journal as they finish, so re-running the same command \
-           with the same $(docv) skips them and produces byte-identical \
-           output; permanently-failed jobs leave replayable crash bundles \
-           under $(docv)/bundles (see $(b,spf replay)).  Implies \
-           supervised execution.")
+           with the same $(docv) and the same build of $(b,spf) skips \
+           them and produces byte-identical output (a journal written by \
+           another build is refused); permanently-failed jobs leave \
+           replayable crash bundles under $(docv)/bundles (see \
+           $(b,spf replay)).  Implies supervised execution.")
 
 let deadline_arg =
   Arg.(
@@ -352,8 +354,9 @@ let retries_arg =
            execution.")
 
 (* Supervision engages when any of its flags is given; [campaign] is the
-   identity line the journal pins, so a journal cannot silently be reused
-   across a different seed/figure/engine. *)
+   identity line the journal pins (with the build's digest), so a journal
+   cannot silently be reused across a different seed/figure/engine or
+   build. *)
 let supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries =
   match (resume, deadline, retries) with
   | None, None, None -> None
@@ -384,18 +387,18 @@ let fig_cmd =
   let figs sup jobs engine provider : (string * (unit -> unit)) list =
     [
       ("table1", Figures.table1);
-      ("fig2", fun () -> ignore (Figures.fig2 ?sup ?jobs ~engine ()));
-      ("fig4", fun () -> ignore (Figures.fig4 ?sup ?jobs ~engine ?provider ()));
-      ("fig5", fun () -> ignore (Figures.fig5 ?sup ?jobs ~engine ?provider ()));
-      ("fig6", fun () -> ignore (Figures.fig6 ?sup ?jobs ~engine ()));
-      ("fig7", fun () -> ignore (Figures.fig7 ?sup ?jobs ~engine ()));
-      ("fig8", fun () -> ignore (Figures.fig8 ?sup ?jobs ~engine ()));
-      ("fig9", fun () -> ignore (Figures.fig9 ?sup ?jobs ~engine ()));
-      ("fig10", fun () -> ignore (Figures.fig10 ?sup ?jobs ~engine ?provider ()));
-      ("ablation", fun () -> ignore (Figures.ablation_flat_offsets ?sup ?jobs ~engine ()));
-      ("ablation-split", fun () -> ignore (Figures.ablation_split ?sup ?jobs ~engine ()));
-      ("distance-sweep", fun () -> ignore (Figures.distance_sweep ?sup ?jobs ~engine ()));
-      ("distance-smoke", fun () -> ignore (Figures.distance_smoke ?sup ?jobs ~engine ()));
+      ("fig2", Figures.fig2 ?sup ?jobs ~engine);
+      ("fig4", Figures.fig4 ?sup ?jobs ~engine ?provider);
+      ("fig5", Figures.fig5 ?sup ?jobs ~engine ?provider);
+      ("fig6", Figures.fig6 ?sup ?jobs ~engine);
+      ("fig7", Figures.fig7 ?sup ?jobs ~engine);
+      ("fig8", Figures.fig8 ?sup ?jobs ~engine);
+      ("fig9", Figures.fig9 ?sup ?jobs ~engine);
+      ("fig10", Figures.fig10 ?sup ?jobs ~engine ?provider);
+      ("ablation", Figures.ablation_flat_offsets ?sup ?jobs ~engine);
+      ("ablation-split", Figures.ablation_split ?sup ?jobs ~engine);
+      ("distance-sweep", Figures.distance_sweep ?sup ?jobs ~engine);
+      ("distance-smoke", Figures.distance_smoke ?sup ?jobs ~engine);
     ]
   in
   let run which jobs engine resume deadline retries pkind =
@@ -431,7 +434,7 @@ let fig_cmd =
         match List.assoc_opt which figs with
         | Some f -> f ()
         | None ->
-            Format.eprintf "unknown figure %S; known: all %s@." which
+            die "unknown figure %S; known: all %s" which
               (String.concat " " (List.map fst figs))
     with
     | () -> ()

@@ -20,8 +20,8 @@ module Config = Spf_core.Config
    submission order and printed serially, so the printed output is
    byte-identical to a serial run for every [jobs] value — and, because
    checkpointed payloads round-trip through Marshal exactly, for
-   resumed runs too.  Each figure returns the total simulated cycles it
-   executed (the work metric BENCH.json tracks alongside wall-clock).
+   resumed runs too.  Each cell also returns the simulated cycles it
+   executed, which is what [spf replay] reports for a re-run cell.
 
    The experiment index lives in DESIGN.md §3; paper-vs-measured narrative
    in EXPERIMENTS.md. *)
@@ -42,7 +42,7 @@ let encode v = Marshal.to_string v []
 let decode s = try Some (Marshal.from_string s 0) with _ -> None
 
 (* Fan a figure's cells out — each takes the job context and returns
-   (value, simulated cycles); results come back in submission order.
+   (value, simulated cycles); the values come back in submission order.
    With [sup], cells run under the full supervision pipeline instead and
    a permanently-failed cell aborts the figure with {!Campaign_failed}
    (after every other cell has finished and been checkpointed). *)
@@ -82,7 +82,7 @@ let par ?sup ?jobs ?engine ~fig thunks =
         if failed <> [] then raise (Campaign_failed (List.length failed));
         List.map (fun (o : _ Supervisor.outcome) -> o.value) ok
   in
-  (List.map fst rs, List.fold_left (fun acc (_, c) -> acc + c) 0 rs)
+  List.map fst rs
 
 (* ------------------------------------------------------------------ *)
 
@@ -113,7 +113,7 @@ let fig2_core () =
 
 let fig2 ?sup ?jobs ?engine () =
   hr "Fig 2: manual prefetch schemes for IS on Haswell";
-  let runs, cycles = par ?sup ?jobs ?engine ~fig:"fig2" (fig2_core ()) in
+  let runs = par ?sup ?jobs ?engine ~fig:"fig2" (fig2_core ()) in
   let base, scheme_runs =
     match runs with b :: rest -> (b, rest) | [] -> assert false
   in
@@ -122,8 +122,7 @@ let fig2 ?sup ?jobs ?engine () =
       Format.fprintf fmt "  %-16s %5.2fx   (paper ~%.2fx)@." label
         (Runner.speedup ~baseline:base r)
         paper)
-    fig2_schemes scheme_runs;
-  cycles
+    fig2_schemes scheme_runs
 
 (* ------------------------------------------------------------------ *)
 
@@ -171,27 +170,17 @@ let fig4_cell ?provider (ctx : Runner.ctx) ~(machine : Machine.t)
     },
     cycles )
 
-let fig4_machine ?jobs ?engine ?provider (machine : Machine.t) : fig4_row list
-    =
-  fst
-    (par ?jobs ?engine ~fig:"fig4m"
-       (List.map
-          (fun b ctx -> fig4_cell ?provider ctx ~machine b)
-          (Benches.all ())))
-
-let fig4_core ?(machines = Machine.all) ?provider () =
+let fig4_core ?provider () =
   let benches = Benches.all () in
   List.concat_map
     (fun machine ->
       List.map (fun b ctx -> fig4_cell ?provider ctx ~machine b) benches)
-    machines
+    Machine.all
 
-let fig4 ?sup ?jobs ?engine ?(machines = Machine.all) ?provider () =
+let fig4 ?sup ?jobs ?engine ?provider () =
   hr "Fig 4: autogenerated and manual software-prefetch speedups";
   let benches = Benches.all () in
-  let cells, cycles =
-    par ?sup ?jobs ?engine ~fig:"fig4" (fig4_core ~machines ?provider ())
-  in
+  let cells = par ?sup ?jobs ?engine ~fig:"fig4" (fig4_core ?provider ()) in
   (* Regroup the machine-major job list into per-machine panels. *)
   let nb = List.length benches in
   let rows_of k = List.filteri (fun i _ -> i / nb = k) cells in
@@ -228,8 +217,7 @@ let fig4 ?sup ?jobs ?engine ?(machines = Machine.all) ?provider () =
         | _ -> "?"
       in
       Format.fprintf fmt "  (paper autogenerated geomean ~%sx)@." paper_geo)
-    machines;
-  cycles
+    Machine.all
 
 (* ------------------------------------------------------------------ *)
 
@@ -257,21 +245,18 @@ let fig5_core ?provider () =
 
 let fig5 ?sup ?jobs ?engine ?provider () =
   hr "Fig 5: indirect-only vs indirect+stride prefetches (auto, Haswell)";
-  let rows, cycles =
-    par ?sup ?jobs ?engine ~fig:"fig5" (fig5_core ?provider ())
-  in
+  let rows = par ?sup ?jobs ?engine ~fig:"fig5" (fig5_core ?provider ()) in
   List.iter
     (fun (id, indirect_only, both) ->
       Format.fprintf fmt "  %-10s indirect=%5.2fx  indirect+stride=%5.2fx@."
         id indirect_only both)
-    rows;
-  cycles
+    rows
 
 (* ------------------------------------------------------------------ *)
 
-let fig6_default_cs = [ 4; 8; 16; 32; 64; 128; 256 ]
+let fig6_cs = [ 4; 8; 16; 32; 64; 128; 256 ]
 
-let fig6_core ?(cs = fig6_default_cs) () =
+let fig6_core () =
   let benches = Benches.sweepable () in
   let pairs =
     List.concat_map
@@ -291,21 +276,21 @@ let fig6_core ?(cs = fig6_default_cs) () =
             in
             acc := !acc + Runner.cycles r;
             Runner.speedup ~baseline:base r)
-          cs
+          fig6_cs
       in
       (speedups, !acc))
     pairs
 
-let fig6 ?sup ?jobs ?engine ?(cs = fig6_default_cs) () =
+let fig6 ?sup ?jobs ?engine () =
   hr "Fig 6: speedup vs look-ahead distance c (manual prefetches)";
   let benches = Benches.sweepable () in
-  let rows, cycles = par ?sup ?jobs ?engine ~fig:"fig6" (fig6_core ~cs ()) in
+  let rows = par ?sup ?jobs ?engine ~fig:"fig6" (fig6_core ()) in
   let nm = List.length Machine.all in
   List.iteri
     (fun k (b : Benches.bench) ->
       Format.fprintf fmt "  --- %s ---@." b.id;
       Format.fprintf fmt "  %-8s" "machine";
-      List.iter (fun c -> Format.fprintf fmt " c=%-5d" c) cs;
+      List.iter (fun c -> Format.fprintf fmt " c=%-5d" c) fig6_cs;
       Format.fprintf fmt "@.";
       List.iteri
         (fun j machine ->
@@ -314,8 +299,7 @@ let fig6 ?sup ?jobs ?engine ?(cs = fig6_default_cs) () =
           List.iter (fun s -> Format.fprintf fmt " %6.2f " s) speedups;
           Format.fprintf fmt "@.")
         Machine.all)
-    benches;
-  cycles
+    benches
 
 (* ------------------------------------------------------------------ *)
 
@@ -341,15 +325,14 @@ let fig7_core () =
 
 let fig7 ?sup ?jobs ?engine () =
   hr "Fig 7: prefetching progressively more dependent loads (HJ-8)";
-  let rows, cycles = par ?sup ?jobs ?engine ~fig:"fig7" (fig7_core ()) in
+  let rows = par ?sup ?jobs ?engine ~fig:"fig7" (fig7_core ()) in
   Format.fprintf fmt "  %-8s depth=1 depth=2 depth=3 depth=4@." "machine";
   List.iter2
     (fun machine speedups ->
       Format.fprintf fmt "  %-8s" machine.Machine.name;
       List.iter (fun s -> Format.fprintf fmt " %6.2f " s) speedups;
       Format.fprintf fmt "@.")
-    Machine.all rows;
-  cycles
+    Machine.all rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -365,11 +348,10 @@ let fig8_core () =
 
 let fig8 ?sup ?jobs ?engine () =
   hr "Fig 8: % extra dynamic instructions, optimal scheme, Haswell";
-  let rows, cycles = par ?sup ?jobs ?engine ~fig:"fig8" (fig8_core ()) in
+  let rows = par ?sup ?jobs ?engine ~fig:"fig8" (fig8_core ()) in
   List.iter
     (fun (id, extra) -> Format.fprintf fmt "  %-10s +%.0f%%@." id extra)
-    rows;
-  cycles
+    rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -398,12 +380,12 @@ let fig9_run_cores (ctx : Runner.ctx) ~n ~prefetched =
     (Multicore.cores mc);
   Multicore.total_cycles mc
 
-let fig9_default_core_counts = [ 1; 2; 4 ]
+let fig9_core_counts = [ 1; 2; 4 ]
 
-let fig9_core ?(core_counts = fig9_default_core_counts) () =
+let fig9_core () =
   let configs =
     (1, false)
-    :: List.concat_map (fun n -> [ (n, false); (n, true) ]) core_counts
+    :: List.concat_map (fun n -> [ (n, false); (n, true) ]) fig9_core_counts
   in
   List.map
     (fun (n, prefetched) ctx ->
@@ -411,11 +393,9 @@ let fig9_core ?(core_counts = fig9_default_core_counts) () =
       (m, m))
     configs
 
-let fig9 ?sup ?jobs ?engine ?(core_counts = fig9_default_core_counts) () =
+let fig9 ?sup ?jobs ?engine () =
   hr "Fig 9: IS multicore throughput on Haswell (shared DRAM)";
-  let makespans, cycles =
-    par ?sup ?jobs ?engine ~fig:"fig9" (fig9_core ~core_counts ())
-  in
+  let makespans = par ?sup ?jobs ?engine ~fig:"fig9" (fig9_core ()) in
   let base1, rest =
     match makespans with b :: rest -> (b, rest) | [] -> assert false
   in
@@ -428,8 +408,7 @@ let fig9 ?sup ?jobs ?engine ?(core_counts = fig9_default_core_counts) () =
       Format.fprintf fmt "  %-7d %-14.2f %-14.2f@." n
         (thr (List.nth rest (2 * k)))
         (thr (List.nth rest ((2 * k) + 1))))
-    core_counts;
-  cycles
+    fig9_core_counts
 
 (* ------------------------------------------------------------------ *)
 
@@ -454,15 +433,12 @@ let fig10_core ?provider () =
 
 let fig10 ?sup ?jobs ?engine ?provider () =
   hr "Fig 10: huge-page impact (auto, Haswell; speedup vs same page policy)";
-  let rows, cycles =
-    par ?sup ?jobs ?engine ~fig:"fig10" (fig10_core ?provider ())
-  in
+  let rows = par ?sup ?jobs ?engine ~fig:"fig10" (fig10_core ?provider ()) in
   Format.fprintf fmt "  %-10s %-12s %-12s@." "bench" "small-pages" "huge-pages";
   List.iter
     (fun (id, small, huge) ->
       Format.fprintf fmt "  %-10s %-12.2f %-12.2f@." id small huge)
-    rows;
-  cycles
+    rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -488,7 +464,7 @@ let ablation_split_core () =
 
 let ablation_split ?sup ?jobs ?engine () =
   hr "Ablation: clamped prefetches vs loop splitting (IS, all machines)";
-  let rows, cycles =
+  let rows =
     par ?sup ?jobs ?engine ~fig:"ablation-split" (ablation_split_core ())
   in
   List.iter2
@@ -500,8 +476,7 @@ let ablation_split ?sup ?jobs ?engine () =
         (Runner.extra_instructions ~baseline:base clamped)
         (Runner.speedup ~baseline:base split)
         (Runner.extra_instructions ~baseline:base split))
-    Machine.all rows;
-  cycles
+    Machine.all rows
 
 (* Ablation (DESIGN.md §5): eq. 1's staggered offsets vs a flat offset for
    every load in the chain. *)
@@ -527,7 +502,7 @@ let ablation_flat_offsets_core () =
 
 let ablation_flat_offsets ?sup ?jobs ?engine () =
   hr "Ablation: eq. 1 staggered offsets vs flat offsets (HJ-8, all machines)";
-  let rows, cycles =
+  let rows =
     par ?sup ?jobs ?engine ~fig:"ablation-flat"
       (ablation_flat_offsets_core ())
   in
@@ -535,26 +510,33 @@ let ablation_flat_offsets ?sup ?jobs ?engine () =
     (fun machine (staggered, flat) ->
       Format.fprintf fmt "  %-8s staggered=%5.2fx  flat(c=1)=%5.2fx@."
         machine.Machine.name staggered flat)
-    Machine.all rows;
-  cycles
+    Machine.all rows
 
 (* ------------------------------------------------------------------ *)
 
 (* Distance sweep: the acceptance figure for the distance-provider
    subsystem.  A look-ahead × workload heatmap of auto-pass speedups on
    each machine, the per-workload profile pick (ties resolve toward the
-   head of [cs], which is eq. 1's c = 64), and the geomean comparison of
-   the profile picks against the static equation — the reproducible
-   demonstration behind BENCH.json's "distance_providers" gate. *)
+   head of [cs], which is eq. 1's c = 64), the adaptive provider's
+   speedup (the runtime tuner, seeded from the eq. 1 cost model), and
+   the geomean comparison of the static equation, the profile picks and
+   the adaptive runs. *)
 
-let distance_sweep_default_cs = Profile_guided.candidates
-let distance_sweep_default_machines = [ Machine.haswell; Machine.a53 ]
+let adaptive_provider =
+  Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive
 
-let distance_sweep_core ?(cs = distance_sweep_default_cs)
-    ?(machines = distance_sweep_default_machines) ?benches () =
-  let benches =
-    match benches with Some bs -> bs | None -> Benches.sweepable ()
-  in
+(* Each variant's (cs, machines, benches): the full figure, and the
+   4-cell smoke behind the tier-1 @distance-smoke alias (2 workloads x 2
+   distances on one machine). *)
+let distance_sweep_spec () =
+  ( Profile_guided.candidates,
+    [ Machine.haswell; Machine.a53 ],
+    Benches.sweepable () )
+
+let distance_smoke_spec () =
+  ([ 64; 16 ], [ Machine.haswell ], [ Benches.is_bench (); Benches.hj2_bench () ])
+
+let distance_sweep_core (cs, machines, benches) =
   List.concat_map
     (fun machine ->
       List.map
@@ -567,21 +549,19 @@ let distance_sweep_core ?(cs = distance_sweep_default_cs)
               (fun c -> (c, Profile_guided.measure ~ctx ~machine b ~c))
               cs
           in
-          ( (b.Benches.id, plain, sweep),
-            List.fold_left (fun acc (_, cy) -> acc + cy) plain sweep ))
+          let adaptive =
+            Runner.cycles
+              (run_auto_cfg ctx ~machine ~provider:adaptive_provider b)
+          in
+          ( (b.Benches.id, plain, sweep, adaptive),
+            List.fold_left (fun acc (_, cy) -> acc + cy) (plain + adaptive)
+              sweep ))
         benches)
     machines
 
-let distance_sweep ?sup ?jobs ?engine ?(fig = "distance-sweep")
-    ?(cs = distance_sweep_default_cs)
-    ?(machines = distance_sweep_default_machines) ?benches () =
+let sweep_figure ?sup ?jobs ?engine ~fig ((cs, machines, benches) as spec) =
   hr "Distance sweep: auto-pass speedup by look-ahead c (profile vs eq. 1)";
-  let benches =
-    match benches with Some bs -> bs | None -> Benches.sweepable ()
-  in
-  let rows, cycles =
-    par ?sup ?jobs ?engine ~fig (distance_sweep_core ~cs ~machines ~benches ())
-  in
+  let rows = par ?sup ?jobs ?engine ~fig (distance_sweep_core spec) in
   let nb = List.length benches in
   List.iteri
     (fun k (machine : Machine.t) ->
@@ -589,10 +569,11 @@ let distance_sweep ?sup ?jobs ?engine ?(fig = "distance-sweep")
       Format.fprintf fmt "  --- %s ---@." machine.Machine.name;
       Format.fprintf fmt "  %-10s" "bench";
       List.iter (fun c -> Format.fprintf fmt "  c=%-5d" c) cs;
-      Format.fprintf fmt "  pick@.";
-      let static_sp = ref [] and pick_sp = ref [] in
+      Format.fprintf fmt "  pick   adaptive@.";
+      let speedup plain cy = float_of_int plain /. float_of_int cy in
+      let static_sp = ref [] and pick_sp = ref [] and adaptive_sp = ref [] in
       List.iter
-        (fun (id, plain, sweep) ->
+        (fun (id, plain, sweep, adaptive) ->
           let pick, pick_cy =
             List.fold_left
               (fun (bc, bcy) (c, cy) ->
@@ -604,37 +585,28 @@ let distance_sweep ?sup ?jobs ?engine ?(fig = "distance-sweep")
             | Some cy -> cy
             | None -> snd (List.hd sweep)
           in
-          static_sp := (float_of_int plain /. float_of_int static_cy) :: !static_sp;
-          pick_sp := (float_of_int plain /. float_of_int pick_cy) :: !pick_sp;
+          static_sp := speedup plain static_cy :: !static_sp;
+          pick_sp := speedup plain pick_cy :: !pick_sp;
+          adaptive_sp := speedup plain adaptive :: !adaptive_sp;
           Format.fprintf fmt "  %-10s" id;
           List.iter
-            (fun (_, cy) ->
-              Format.fprintf fmt " %6.2fx "
-                (float_of_int plain /. float_of_int cy))
+            (fun (_, cy) -> Format.fprintf fmt " %6.2fx " (speedup plain cy))
             sweep;
-          Format.fprintf fmt " c=%d@." pick)
+          Format.fprintf fmt " c=%-5d %7.2fx@." pick (speedup plain adaptive))
         mrows;
       Format.fprintf fmt
-        "  geomean    eq.1(c=%d)=%.3fx  profile-guided=%.3fx@."
+        "  geomean    eq.1(c=%d)=%.3fx  profile-guided=%.3fx  adaptive=%.3fx@."
         Config.default.Config.c
         (Benches.geomean !static_sp)
-        (Benches.geomean !pick_sp))
-    machines;
-  cycles
+        (Benches.geomean !pick_sp)
+        (Benches.geomean !adaptive_sp))
+    machines
 
-(* The 4-cell smoke variant behind the tier-1 @distance-smoke alias:
-   2 workloads x 2 distances on one machine. *)
-let distance_smoke_cs = [ 64; 16 ]
-let distance_smoke_benches () = [ Benches.is_bench (); Benches.hj2_bench () ]
-
-let distance_smoke_core () =
-  distance_sweep_core ~cs:distance_smoke_cs ~machines:[ Machine.haswell ]
-    ~benches:(distance_smoke_benches ()) ()
+let distance_sweep ?sup ?jobs ?engine () =
+  sweep_figure ?sup ?jobs ?engine ~fig:"distance-sweep" (distance_sweep_spec ())
 
 let distance_smoke ?sup ?jobs ?engine () =
-  distance_sweep ?sup ?jobs ?engine ~fig:"distance-smoke"
-    ~cs:distance_smoke_cs ~machines:[ Machine.haswell ]
-    ~benches:(distance_smoke_benches ()) ()
+  sweep_figure ?sup ?jobs ?engine ~fig:"distance-smoke" (distance_smoke_spec ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -655,8 +627,10 @@ let replay_registry : (string * (unit -> (Runner.ctx -> int) list)) list =
     ("fig10", fun () -> erase (fig10_core ()));
     ("ablation-split", fun () -> erase (ablation_split_core ()));
     ("ablation-flat", fun () -> erase (ablation_flat_offsets_core ()));
-    ("distance-sweep", fun () -> erase (distance_sweep_core ()));
-    ("distance-smoke", fun () -> erase (distance_smoke_core ()));
+    ( "distance-sweep",
+      fun () -> erase (distance_sweep_core (distance_sweep_spec ())) );
+    ( "distance-smoke",
+      fun () -> erase (distance_sweep_core (distance_smoke_spec ())) );
   ]
 
 let replay_cell ~figure ~index ?engine () =

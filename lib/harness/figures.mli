@@ -11,9 +11,7 @@
     the cells as keyed {!Supervisor} jobs ("<fig>/<index>") under the
     full supervision pipeline — deadlines, retry, engine fallback,
     checkpoint/resume and crash bundles (docs/ROBUSTNESS.md) — with
-    byte-identical stdout, including on resume.  Each figure returns the
-    total simulated cycles it executed — the work metric recorded in
-    BENCH.json alongside wall-clock time. *)
+    byte-identical stdout, including on resume. *)
 
 exception Campaign_failed of int
 (** Raised by a supervised figure when cells failed permanently; carries
@@ -29,34 +27,17 @@ val fig2 :
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** Manual prefetch schemes for IS on Haswell: intuitive / offset too
     small / offset too big / optimal. *)
-
-type fig4_row = {
-  bench : string;
-  icc : float option;
-  auto : float;
-  manual : float;
-}
-
-val fig4_machine :
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  ?provider:Spf_core.Distance.provider ->
-  Spf_sim.Machine.t ->
-  fig4_row list
-(** One machine's Fig 4 panel, as data.  [provider] selects the
-    look-ahead distance provider for the auto cells (default eq. 1). *)
 
 val fig4 :
   ?sup:Supervisor.options ->
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
-  ?machines:Spf_sim.Machine.t list ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
-  int
+  unit
 (** Autogenerated vs manual speedups on all four machines (ICC-generated
     added on Xeon Phi), with per-machine geomeans.  [provider] selects
     the distance provider for the auto cells (default eq. 1 static). *)
@@ -67,16 +48,15 @@ val fig5 :
   ?engine:Spf_sim.Engine.t ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
-  int
+  unit
 (** Indirect-only vs indirect+stride prefetches (Haswell). *)
 
 val fig6 :
   ?sup:Supervisor.options ->
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
-  ?cs:int list ->
   unit ->
-  int
+  unit
 (** Speedup vs look-ahead distance c for IS/CG/RA/HJ-2 on all machines. *)
 
 val fig7 :
@@ -84,7 +64,7 @@ val fig7 :
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** Prefetching progressively more dependent loads (HJ-8). *)
 
 val fig8 :
@@ -92,16 +72,15 @@ val fig8 :
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** Percentage increase in dynamic instructions (Haswell, best scheme). *)
 
 val fig9 :
   ?sup:Supervisor.options ->
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
-  ?core_counts:int list ->
   unit ->
-  int
+  unit
 (** IS multicore throughput with a shared DRAM channel. *)
 
 val fig10 :
@@ -110,34 +89,27 @@ val fig10 :
   ?engine:Spf_sim.Engine.t ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
-  int
+  unit
 (** Huge-page impact on IS/RA/HJ-2 (Haswell). *)
-
-val distance_sweep_default_cs : int list
-val distance_sweep_default_machines : Spf_sim.Machine.t list
-(** Haswell and A53 — the two machine models the acceptance gate runs on. *)
 
 val distance_sweep :
   ?sup:Supervisor.options ->
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
-  ?fig:string ->
-  ?cs:int list ->
-  ?machines:Spf_sim.Machine.t list ->
-  ?benches:Benches.bench list ->
   unit ->
-  int
-(** The distance-provider acceptance figure: a look-ahead × workload
-    heatmap of auto-pass speedups per machine, the per-workload profile
-    pick (ties toward the head of [cs], eq. 1's c = 64 by default), and
-    the geomean comparison of the picks against the static equation. *)
+  unit
+(** The distance-provider acceptance figure, on Haswell and A53: a
+    look-ahead × workload heatmap of auto-pass speedups over
+    {!Profile_guided.candidates}, the per-workload profile pick (ties
+    toward eq. 1's c = 64), the adaptive provider's speedup, and the
+    geomeans of the static equation, the picks and the adaptive runs. *)
 
 val distance_smoke :
   ?sup:Supervisor.options ->
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** 4-cell {!distance_sweep} (IS and HJ-2 at c = 64 and 16 on Haswell) —
     the tier-1 [@distance-smoke] figure. *)
 
@@ -146,7 +118,7 @@ val ablation_flat_offsets :
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** DESIGN.md §5 ablation: eq. 1 staggering vs flat offsets on HJ-8. *)
 
 val ablation_split :
@@ -154,7 +126,7 @@ val ablation_split :
   ?jobs:int ->
   ?engine:Spf_sim.Engine.t ->
   unit ->
-  int
+  unit
 (** Clamped prefetches vs {!Spf_core.Split}'s peeled clamp-free main loop
     (ICC's hoisted checks, §6.1), on IS across all machines. *)
 

@@ -17,9 +17,10 @@
 
    Durability discipline:
    - the header pins the format version and the identity line pins what
-     must match for the records to be reusable (the campaign string; the
-     serve build's semantics digest).  A mismatch is refused loudly,
-     never half-loaded;
+     must match for the records to be reusable (the campaign string plus
+     the digest of the executable that wrote it; the serve build's
+     semantics digest).  A mismatch is refused loudly, never
+     half-loaded;
    - every record line carries an MD5 of its tag, key and hex payload;
    - an append is one whole line, written and flushed, so a crash
      (SIGKILL included) can only tear the final line, and a line counts
@@ -243,12 +244,22 @@ type t = {
 
 let checkpoint_tag = "C"
 
+(* Checkpoint payloads are Marshal images, and decoding one written by a
+   build whose payload types differ does not fail: it yields a value of
+   the wrong shape.  So the identity also pins the running executable,
+   and a journal resumes only under the build that wrote it.  Hashed on
+   first use, a few ms for the CLI; callers open journals before any
+   worker domain starts, so the lazy value is never forced twice at
+   once. *)
+let build_digest = lazy (Digest.to_hex (Digest.file Sys.executable_name))
+
 let start ~dir ~campaign =
+  let identity = campaign ^ " build=" ^ Lazy.force build_digest in
   let fmt =
     {
       header = "spf-checkpoint 2";
       field = "campaign";
-      identity = campaign;
+      identity;
       tags = [ checkpoint_tag ];
       noun = "checkpoint journal";
       remedy = "start the campaign over";
@@ -257,7 +268,7 @@ let start ~dir ~campaign =
           Printf.sprintf
             "checkpoint journal %s belongs to a different campaign:\n\
             \  journal: %s\n  requested: %s"
-            path found campaign);
+            path found identity);
     }
   in
   let log, records = open_log fmt ~dir ~file:"journal" in

@@ -89,17 +89,19 @@ val truncated : log -> bool
     so an interrupted run can be resumed: journaled cells are skipped and
     their recorded payloads substituted, making the resumed run's output
     byte-identical to an uninterrupted one.  Header [spf-checkpoint 2],
-    identity line [campaign <campaign>], record tag [C]. *)
+    identity line [campaign <campaign> build=<md5>], record tag [C],
+    where [<md5>] is the digest of the running executable. *)
 
 type t
 
 val start : dir:string -> campaign:string -> t
 (** Open (or create) [dir]/journal for the campaign identified by
     [campaign] (a single line naming everything that must match for
-    records to be reusable: seed, count, engine, figure set...).
+    records to be reusable: seed, count, engine, figure set...) and run
+    by this build of the executable.
 
     @raise Failure if an existing journal is damaged beyond a torn final
-    record, or belongs to a different campaign.
+    record, or belongs to a different campaign or another build.
     @raise Invalid_argument if [campaign] contains a newline. *)
 
 val file : t -> string

@@ -14,10 +14,10 @@ module Profdata = Spf_core.Profdata
      returns a signed {!Profdata.t} ready to save;
    - [build_auto] applies the pass under any provider and, for the
      adaptive one, constructs the windowed tuner bound to the distance
-     registers the pass materialised;
-   - [evaluate] compares static vs profile vs adaptive on a benchmark
-     list for one machine (the BENCH.json "distance_providers" piece and
-     the acceptance gate for this subsystem).
+     registers the pass materialised.
+
+   [spf fig distance-sweep] compares the providers: static vs profile
+   vs adaptive on Haswell and A53.
 
    The candidate order below doubles as the tie-break preference: the
    sweep picks the candidate with the fewest simulated cycles and resolves
@@ -189,83 +189,3 @@ let profile ?(ctx = Runner.null_ctx) ?(cs = candidates) ~machine
       ~default_c:Config.default.Config.c ~loops
   in
   (pd, sweep)
-
-(* ------------------------------------------------------------------ *)
-(* Provider comparison: the acceptance gate and BENCH.json piece.       *)
-
-type row = {
-  bench : string;
-  plain_cycles : int;
-  static_cycles : int; (* eq. 1, c = 64 *)
-  profile_cycles : int; (* best candidate from the sweep *)
-  profile_c : int;
-  sweep : (int * int) list; (* candidate -> cycles *)
-  adaptive_cycles : int;
-  adaptive_windows : int;
-  adaptive_final : (int * int) list; (* loop header -> final distance *)
-}
-
-type eval = {
-  machine : string;
-  rows : row list;
-  geo_static : float; (* geomean speedup over plain *)
-  geo_profile : float;
-  geo_adaptive : float;
-}
-
-let evaluate ?(ctx = Runner.null_ctx) ?(cs = candidates) ~machine benches =
-  let rows =
-    List.map
-      (fun (bench : Benches.bench) ->
-        let plain_cycles =
-          Runner.cycles (Runner.run_ctx ctx ~machine (bench.Benches.plain ()))
-        in
-        let profile_c, sweep = choose ~ctx ~cs ~machine bench in
-        let static_cycles =
-          match List.assoc_opt Config.default.Config.c sweep with
-          | Some cy -> cy
-          | None -> measure ~ctx ~machine bench ~c:Config.default.Config.c
-        in
-        let profile_cycles = List.assoc profile_c sweep in
-        let b, _report, tuner =
-          build_auto
-            ~config:
-              (Config.with_provider
-                 (Distance.Adaptive Distance.default_adaptive) Config.default)
-            ~machine bench
-        in
-        let adaptive_cycles =
-          Runner.cycles (Runner.run_ctx ctx ?tuner ~machine b)
-        in
-        let adaptive_windows =
-          match tuner with Some tu -> Tuner.windows tu | None -> 0
-        in
-        let adaptive_final =
-          match tuner with Some tu -> Tuner.final tu | None -> []
-        in
-        {
-          bench = bench.Benches.id;
-          plain_cycles;
-          static_cycles;
-          profile_cycles;
-          profile_c;
-          sweep;
-          adaptive_cycles;
-          adaptive_windows;
-          adaptive_final;
-        })
-      benches
-  in
-  let geo proj =
-    Benches.geomean
-      (List.map
-         (fun r -> float_of_int r.plain_cycles /. float_of_int (proj r))
-         rows)
-  in
-  {
-    machine = machine.Machine.name;
-    rows;
-    geo_static = geo (fun r -> r.static_cycles);
-    geo_profile = geo (fun r -> r.profile_cycles);
-    geo_adaptive = geo (fun r -> r.adaptive_cycles);
-  }

@@ -1,7 +1,7 @@
 (** Profile-guided and adaptive look-ahead selection: measure a benchmark
-    into a signed {!Spf_core.Profdata.t}, apply the pass under any
+    into a signed {!Spf_core.Profdata.t}, and apply the pass under any
     {!Spf_core.Distance.provider} (constructing the adaptive tuner when
-    needed), and compare providers for the BENCH.json gate. *)
+    needed).  [spf fig distance-sweep] compares the providers. *)
 
 val candidates : int list
 (** The look-ahead sweep, in tie-break preference order — head is the
@@ -78,31 +78,3 @@ val profile :
   Spf_core.Profdata.t * (int * int) list
 (** Measure: attribution run of the plain program (per-loop evidence) plus
     the candidate sweep.  Returns the signed profile and the sweep. *)
-
-type row = {
-  bench : string;
-  plain_cycles : int;
-  static_cycles : int;  (** eq. 1, c = 64 *)
-  profile_cycles : int;
-  profile_c : int;
-  sweep : (int * int) list;
-  adaptive_cycles : int;
-  adaptive_windows : int;
-  adaptive_final : (int * int) list;  (** loop header -> final distance *)
-}
-
-type eval = {
-  machine : string;
-  rows : row list;
-  geo_static : float;  (** geomean speedup over plain *)
-  geo_profile : float;
-  geo_adaptive : float;
-}
-
-val evaluate :
-  ?ctx:Runner.ctx ->
-  ?cs:int list ->
-  machine:Spf_sim.Machine.t ->
-  Benches.bench list ->
-  eval
-(** Static vs profile vs adaptive on [benches] for one machine. *)

@@ -75,7 +75,6 @@ type policy = {
   retries : int; (* max re-runs after the first attempt *)
   backoff_base_s : float; (* sleep before retry k: base * 2^k, capped *)
   backoff_max_s : float;
-  engine_fallback : bool; (* decode failure -> next engine down the chain *)
 }
 
 let default_policy =
@@ -84,7 +83,6 @@ let default_policy =
     retries = 1;
     backoff_base_s = 0.25;
     backoff_max_s = 5.0;
-    engine_fallback = true;
   }
 
 let backoff_s policy attempt =
@@ -249,7 +247,7 @@ let run_jobs opts ~encode ~decode jobs =
               in
               let cur = Option.value !engine ~default:Engine.default in
               match (cls, Engine.fallback cur) with
-              | Decode_failure, Some next when opts.policy.engine_fallback ->
+              | Decode_failure, Some next ->
                   (* Degradation, not a retry: every engine down the
                      chain is bit-identical, so the campaign's numbers
                      are safe. *)

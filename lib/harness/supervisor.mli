@@ -30,12 +30,10 @@ type policy = {
   retries : int;  (** max re-runs after the first attempt *)
   backoff_base_s : float;  (** sleep before retry [k] is [base * 2^k]... *)
   backoff_max_s : float;  (** ...capped at this *)
-  engine_fallback : bool;
-      (** decode failure -> next engine down the chain, not a failure *)
 }
 
 val default_policy : policy
-(** No deadline, one retry, 0.25s..5s backoff, fallback enabled. *)
+(** No deadline, one retry, 0.25s..5s backoff. *)
 
 val backoff_s : policy -> int -> float
 (** [backoff_s p attempt] is the bounded sleep after failed 0-based

@@ -18,8 +18,9 @@ module Loops = Spf_ir.Loops
    - Values are {!Term}s over shared symbols: parameters, matched call
      results, and the widened loop-carried values introduced at loop
      headers.  Two observables agree when their terms are equal.
-   - Loops are not unrolled to termination.  After [unroll] concrete
-     head visits, arriving at a loop header {e widens}: every
+   - Loops are not unrolled to termination.  Arriving at a loop header
+     after [unroll] concrete head visits — with [unroll] = 0, on the
+     first arrival — {e widens}: every
      loop-carried value is replaced by a fresh symbol shared between the
      two sides (sound because the closing head arrival verifies both
      sides compute equal next-iteration values — the inductive step),
@@ -51,14 +52,11 @@ module Loops = Spf_ir.Loops
    check (which the caller must confirm concretely before calling it a
    counterexample), or [Gave_up]. *)
 
-type config = {
-  unroll : int;  (** concrete head visits before widening (default 0) *)
-  max_paths : int;
-  max_steps : int;
-  prover : Prove.config;
-}
-
-let default = { unroll = 0; max_paths = 4096; max_steps = 200_000; prover = Prove.default }
+(* Search budgets: concrete head visits before a loop header widens,
+   and the path and step counts past which the checker gives up. *)
+let unroll = 0
+let max_paths = 4096
+let max_steps = 200_000
 
 type result =
   | Proved of { paths : int; obligations : int }
@@ -359,7 +357,6 @@ type shared = {
   s_orig : Ir.func;
   s_xform : Ir.func;
   s_static : static;
-  s_cfg : config;
   s_cancel : Spf_sim.Exec_state.cancel option;
   mutable s_fresh : int;
   s_regions : (int, unit) Hashtbl.t;  (** region-tagged symbol ids *)
@@ -611,9 +608,8 @@ let try_discharge sh p ~addr ~width ~pc =
                 match Term.unify ~pat:cand ~target:addr ~var:cov.cov_iv_sym with
                 | None -> false
                 | Some u ->
-                    Prove.prove_ge0 ~cfg:sh.s_cfg.prover ~facts:p.p_facts
-                      (Term.sub u cov.cov_lo)
-                    && Prove.prove_ge0 ~cfg:sh.s_cfg.prover ~facts:p.p_facts
+                    Prove.prove_ge0 ~facts:p.p_facts (Term.sub u cov.cov_lo)
+                    && Prove.prove_ge0 ~facts:p.p_facts
                          (Term.sub cov.cov_hi u))
               cx.cx_cands)
       p.p_ctxs
@@ -628,10 +624,8 @@ let try_discharge sh p ~addr ~width ~pc =
         | None -> false
         | Some cov ->
             let in_range u =
-              Prove.prove_ge0 ~cfg:sh.s_cfg.prover ~facts:p.p_facts
-                (Term.sub u cov.cov_lo)
-              && Prove.prove_ge0 ~cfg:sh.s_cfg.prover ~facts:p.p_facts
-                   (Term.sub cov.cov_hi u)
+              Prove.prove_ge0 ~facts:p.p_facts (Term.sub u cov.cov_lo)
+              && Prove.prove_ge0 ~facts:p.p_facts (Term.sub cov.cov_hi u)
             in
             List.exists
               (fun ch ->
@@ -867,7 +861,7 @@ let step sh p : outcome =
       give_up "cancelled (supervision deadline)"
   | _ -> ());
   sh.s_steps <- sh.s_steps + 1;
-  if sh.s_steps > sh.s_cfg.max_steps then give_up "step budget exhausted";
+  if sh.s_steps > max_steps then give_up "step budget exhausted";
   let bid = p.p_bid in
   (* Drop contexts of loops this block is no longer inside. *)
   let p = { p with p_ctxs = List.filter (fun c -> Loops.contains c.cx_loop bid) p.p_ctxs } in
@@ -881,7 +875,7 @@ let step sh p : outcome =
       match List.assoc_opt bid sh.s_static.linfos with
       | Some li ->
           p.p_visits.(bid) <- p.p_visits.(bid) + 1;
-          if p.p_visits.(bid) > sh.s_cfg.unroll then widen sh p li ~bid
+          if p.p_visits.(bid) > unroll then widen sh p li ~bid
           else begin
             exec_phis sh.s_orig p.p_env_o ~bid ~pred:p.p_pred;
             exec_phis sh.s_xform p.p_env_x ~bid ~pred:p.p_pred;
@@ -1008,7 +1002,7 @@ let step sh p : outcome =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check ?cancel ?(config = default) ~orig ~xform () =
+let check ?cancel ~orig ~xform () =
   try
     check_skeleton orig xform;
     let static = analyze orig in
@@ -1017,7 +1011,6 @@ let check ?cancel ?(config = default) ~orig ~xform () =
         s_orig = orig;
         s_xform = xform;
         s_static = static;
-        s_cfg = config;
         s_cancel = cancel;
         s_fresh = static.nparams;
         s_regions = Hashtbl.create 16;
@@ -1055,7 +1048,7 @@ let check ?cancel ?(config = default) ~orig ~xform () =
           | Leaf p' ->
               require_discharged p';
               sh.s_paths <- sh.s_paths + 1;
-              if sh.s_paths > config.max_paths then give_up "path budget exhausted"
+              if sh.s_paths > max_paths then give_up "path budget exhausted"
           | Continue ps -> stack := ps @ !stack)
     done;
     Proved { paths = sh.s_paths; obligations = sh.s_obligations }

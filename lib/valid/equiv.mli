@@ -20,15 +20,6 @@
     — the checker over-approximates — so {!Validate} confirms it
     concretely before reporting a refutation.  See docs/ROBUSTNESS.md. *)
 
-type config = {
-  unroll : int;  (** concrete header visits before widening (default 0) *)
-  max_paths : int;
-  max_steps : int;
-  prover : Prove.config;
-}
-
-val default : config
-
 type result =
   | Proved of { paths : int; obligations : int }
   | Mismatch of string  (** first failed check; unconfirmed *)
@@ -36,7 +27,6 @@ type result =
 
 val check :
   ?cancel:Spf_sim.Exec_state.cancel ->
-  ?config:config ->
   orig:Spf_ir.Ir.func ->
   xform:Spf_ir.Ir.func ->
   unit ->

@@ -15,9 +15,10 @@
 
 module Ir = Spf_ir.Ir
 
-type config = { split_depth : int; fm_max_facts : int }
-
-let default = { split_depth = 10; fm_max_facts = 128 }
+(* Search budgets: the deepest nest of min/max/select case splits, and
+   the fact-set size past which an elimination round gives up. *)
+let split_depth = 10
+let fm_max_facts = 128
 
 (* Facts implied by branching on [cond] (an arbitrary integer term;
    "true" means non-zero, as in the interpreter's [Cbr]). *)
@@ -41,7 +42,7 @@ let assert_cond cond (taken : bool) : Term.t list =
 let contradiction facts =
   List.exists (fun f -> Term.lin f = [] && Term.const f < 0) facts
 
-let fm_refute cfg (facts : Term.t list) =
+let fm_refute (facts : Term.t list) =
   let atoms_of fs =
     List.fold_left
       (fun acc f ->
@@ -90,7 +91,7 @@ let fm_refute cfg (facts : Term.t list) =
               pos
           in
           let facts' = zero @ combos in
-          if List.length facts' > cfg.fm_max_facts then false
+          if List.length facts' > fm_max_facts then false
           else go facts' (rounds - 1)
   in
   go facts 16
@@ -99,12 +100,12 @@ let fm_refute cfg (facts : Term.t list) =
 (* Top-level proving with case splits                                  *)
 (* ------------------------------------------------------------------ *)
 
-let rec prove_ge0 ?(cfg = default) ~facts goal =
+let rec prove_ge0 ~facts goal =
   match Term.as_const goal with
   | Some c -> c >= 0
-  | None -> attempt cfg cfg.split_depth facts goal
+  | None -> attempt split_depth facts goal
 
-and attempt cfg depth facts goal =
+and attempt depth facts goal =
   let split_atom =
     match Term.find_split goal with
     | Some a -> Some a
@@ -132,12 +133,11 @@ and attempt cfg depth facts goal =
              let goal' = s goal in
              let facts' = arm_facts @ List.map s facts in
              match Term.as_const goal' with
-             | Some c -> c >= 0 || fm_refute cfg (Term.add_const (-1) (Term.neg goal') :: facts')
-             | None -> attempt cfg (depth - 1) facts' goal')
+             | Some c -> c >= 0 || fm_refute (Term.add_const (-1) (Term.neg goal') :: facts')
+             | None -> attempt (depth - 1) facts' goal')
            arms
   | _ ->
       (* No splits left: refute facts ∧ goal <= -1. *)
-      fm_refute cfg (Term.add_const (-1) (Term.neg goal) :: facts)
+      fm_refute (Term.add_const (-1) (Term.neg goal) :: facts)
 
-let prove_eq0 ?cfg ~facts t =
-  prove_ge0 ?cfg ~facts t && prove_ge0 ?cfg ~facts (Term.neg t)
+let prove_eq0 ~facts t = prove_ge0 ~facts t && prove_ge0 ~facts (Term.neg t)

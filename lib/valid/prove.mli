@@ -7,19 +7,12 @@
     proof as a give-up, never as a counterexample on its own
     authority. *)
 
-type config = {
-  split_depth : int;  (** max nested min/max/select case splits *)
-  fm_max_facts : int;  (** fact-set size cap per elimination round *)
-}
-
-val default : config
-
 val assert_cond : Term.t -> bool -> Term.t list
 (** Facts implied by branching on a condition term ("true" means
     non-zero, as in the interpreter's [Cbr]). *)
 
-val prove_ge0 : ?cfg:config -> facts:Term.t list -> Term.t -> bool
+val prove_ge0 : facts:Term.t list -> Term.t -> bool
 (** Does [facts |- goal >= 0] hold over the integers?  [false] means
     "not proved", not "false". *)
 
-val prove_eq0 : ?cfg:config -> facts:Term.t list -> Term.t -> bool
+val prove_eq0 : facts:Term.t list -> Term.t -> bool

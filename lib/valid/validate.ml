@@ -42,8 +42,8 @@ let outcome_to_string = function
 (* Core pair check                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let check ?cancel ?(equiv = Equiv.default) ~(env : Model.env) ~orig ~xform () =
-  match Equiv.check ?cancel ~config:equiv ~orig ~xform () with
+let check ?cancel ~(env : Model.env) ~orig ~xform () =
+  match Equiv.check ?cancel ~orig ~xform () with
   | Equiv.Proved { paths; obligations } -> Proved { paths; obligations }
   | Equiv.Gave_up r -> Gave_up r
   | Equiv.Mismatch detail -> (
@@ -62,11 +62,11 @@ let transform ?(config = Config.default) func =
   | _report -> Ok x
   | exception exn -> Error (Printexc.to_string exn)
 
-let check_case ?cancel ?config ?equiv (c : Case.t) =
+let check_case ?cancel ?config (c : Case.t) =
   match transform ?config c.Case.func with
   | Error e -> Gave_up ("pass raised: " ^ e)
   | Ok xform ->
-      check ?cancel ?equiv ~env:(Case.to_env c) ~orig:c.Case.func ~xform ()
+      check ?cancel ~env:(Case.to_env c) ~orig:c.Case.func ~xform ()
 
 (* ------------------------------------------------------------------ *)
 (* The golden suite                                                    *)
@@ -86,7 +86,7 @@ let golden_pairs () =
   List.map (fun id -> (bench id, `Auto)) [ "IS"; "CG"; "RA"; "HJ-2"; "HJ-8" ]
   @ [ (bench "HJ-8", `Manual) ]
 
-let check_golden ?cancel ?config ?equiv () =
+let check_golden ?cancel ?config () =
   List.map
     (fun ((b : Benches.bench), variant) ->
       let orig = (b.Benches.plain ()).Workload.func in
@@ -107,7 +107,7 @@ let check_golden ?cancel ?config ?equiv () =
           fuel = golden_fuel;
         }
       in
-      (b.Benches.id ^ "/" ^ vname, check ?cancel ?equiv ~env ~orig ~xform ()))
+      (b.Benches.id ^ "/" ^ vname, check ?cancel ~env ~orig ~xform ()))
     (golden_pairs ())
 
 (* ------------------------------------------------------------------ *)
@@ -149,12 +149,12 @@ let decode_status s =
    past the deadline (or crashes) is classified as a give-up rather than
    poisoning the sweep, and completed files checkpoint/resume through the
    journal. *)
-let check_corpus ?config ?equiv ?supervise dir : (string * status) list =
+let check_corpus ?config ?supervise dir : (string * status) list =
   let files = corpus_files dir in
   match supervise with
   | None ->
       List.map
-        (fun f -> (f, status_of_outcome (check_case ?config ?equiv (Case.load f))))
+        (fun f -> (f, status_of_outcome (check_case ?config (Case.load f))))
         files
   | Some opts ->
       let jobs =
@@ -165,7 +165,7 @@ let check_corpus ?config ?equiv ?supervise dir : (string * status) list =
               work =
                 (fun (ctx : Runner.ctx) ->
                   status_of_outcome
-                    (check_case ?cancel:ctx.Runner.cancel ?config ?equiv
+                    (check_case ?cancel:ctx.Runner.cancel ?config
                        (Case.load f)));
               binfo =
                 Some

@@ -14,7 +14,6 @@ val outcome_to_string : outcome -> string
 
 val check :
   ?cancel:Spf_sim.Exec_state.cancel ->
-  ?equiv:Equiv.config ->
   env:Model.env ->
   orig:Spf_ir.Ir.func ->
   xform:Spf_ir.Ir.func ->
@@ -30,7 +29,6 @@ val transform :
 val check_case :
   ?cancel:Spf_sim.Exec_state.cancel ->
   ?config:Spf_core.Config.t ->
-  ?equiv:Equiv.config ->
   Case.t ->
   outcome
 (** Transform the case's program under [config] and validate the pair in
@@ -49,7 +47,6 @@ val golden_pairs : unit -> (Spf_harness.Benches.bench * [ `Auto | `Manual ]) lis
 val check_golden :
   ?cancel:Spf_sim.Exec_state.cancel ->
   ?config:Spf_core.Config.t ->
-  ?equiv:Equiv.config ->
   unit ->
   (string * outcome) list
 
@@ -72,7 +69,6 @@ val decode_status : string -> status option
 
 val check_corpus :
   ?config:Spf_core.Config.t ->
-  ?equiv:Equiv.config ->
   ?supervise:Spf_harness.Supervisor.options ->
   string ->
   (string * status) list

@@ -48,6 +48,8 @@ let test_journal_roundtrip () =
   Alcotest.(check (option string))
     "unknown key" None (Journal.find j2 "cell/9")
 
+let build = Digest.to_hex (Digest.file Sys.executable_name)
+
 let test_journal_campaign_mismatch () =
   let dir = fresh_dir () in
   let j = Journal.start ~dir ~campaign:"campaign A" in
@@ -56,9 +58,28 @@ let test_journal_campaign_mismatch () =
     (Failure
        (Printf.sprintf
           "checkpoint journal %s belongs to a different campaign:\n\
-          \  journal: campaign A\n  requested: campaign B"
-          (Journal.file j)))
+          \  journal: campaign A build=%s\n  requested: campaign B build=%s"
+          (Journal.file j) build build))
     (fun () -> ignore (Journal.start ~dir ~campaign:"campaign B"))
+
+(* A journal whose identity names the campaign but no build (or another
+   build) holds payloads this build may decode into the wrong shape: it
+   is refused, not resumed. *)
+let test_journal_other_build () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "journal" in
+  let oc = open_out_bin path in
+  let campaign = "fig distance-smoke engine=tape provider=static" in
+  output_string oc ("spf-checkpoint 2\ncampaign " ^ campaign ^ "\n");
+  close_out oc;
+  Alcotest.check_raises "a journal from another build is refused"
+    (Failure
+       (Printf.sprintf
+          "checkpoint journal %s belongs to a different campaign:\n\
+          \  journal: %s\n  requested: %s build=%s"
+          path campaign campaign build))
+    (fun () -> ignore (Journal.start ~dir ~campaign))
 
 let expect_rejected what dir =
   match Journal.start ~dir ~campaign:"c" with
@@ -88,7 +109,7 @@ let test_journal_truncations () =
     (String.sub contents 0 (String.length contents - 7));
   let j = Journal.start ~dir ~campaign:"c" in
   Alcotest.(check int) "torn record dropped" 0 (Journal.completed j);
-  let healed = "spf-checkpoint 2\ncampaign c\n" in
+  let healed = "spf-checkpoint 2\ncampaign c build=" ^ build ^ "\n" in
   Alcotest.(check string) "compacted to a whole file" healed
     (read_back (Journal.file j));
   let j = Journal.start ~dir ~campaign:"c" in
@@ -319,6 +340,8 @@ let suite =
       test_journal_roundtrip;
     Alcotest.test_case "journal rejects a different campaign" `Quick
       test_journal_campaign_mismatch;
+    Alcotest.test_case "journal from another build refused" `Quick
+      test_journal_other_build;
     Alcotest.test_case "torn tail healed, inner cut refused" `Quick
       test_journal_truncations;
     Alcotest.test_case "bundle round-trips and detects tampering" `Quick

@@ -4,7 +4,8 @@
    separation (same program under a different machine / engine /
    provider / tscale must never collide), the request index (the same
    replies and sim-level counts without a parse), poisoned-request
-   classification, and the BENCH.json overhead-marker semantics.
+   classification, and the daemon's own admission control, timeouts and
+   journal warm restart, in process.
 
    The socket server itself is exercised end-to-end by the
    @serve-smoke rule (test/serve_smoke.ml). *)
@@ -14,7 +15,6 @@ module Proto = Spf_serve.Proto
 module Service = Spf_serve.Service
 module Runner = Spf_harness.Runner
 module Supervisor = Spf_harness.Supervisor
-module Bench_json = Spf_harness.Bench_json
 module Engine = Spf_sim.Engine
 
 (* ------------------------------------------------------------------ *)
@@ -272,48 +272,6 @@ let test_trap_releases_clean () =
   let after = Service.run ~cache ~ctx:Runner.null_ctx (prepare_opts []) in
   Alcotest.(check string) "reply after a trap = reply on a fresh cache"
     (body_string fresh) (body_string after)
-
-(* ------------------------------------------------------------------ *)
-(* Bench_json: the supervised-overhead field is a number or a
-   self-describing skip marker — never null. *)
-
-let meas name walls =
-  { Bench_json.name; skipped = false; walls_s = walls; cycles = 1 }
-
-let test_overhead_measured () =
-  let ms = [ meas "fig2" [ 1.0; 1.1 ]; meas "fig2-supervised" [ 1.05; 1.2 ] ] in
-  Alcotest.(check string) "pct from min walls" "5.00"
-    (Bench_json.overhead_field ~trials:2 ms);
-  (* Noise can put the supervised min under the raw min; that is "no
-     measurable overhead", clamped at zero, not a negative cost. *)
-  let ms = [ meas "fig2" [ 1.0 ]; meas "fig2-supervised" [ 0.9; 1.2 ] ] in
-  Alcotest.(check string) "clamped at zero" "0.00"
-    (Bench_json.overhead_field ~trials:2 ms)
-
-let test_overhead_skip_markers () =
-  let pair = [ meas "fig2" [ 1.0 ]; meas "fig2-supervised" [ 1.05 ] ] in
-  Alcotest.(check string) "trials<2 is marked, not null"
-    "\"skipped (trials<2)\""
-    (Bench_json.overhead_field ~trials:1 pair);
-  Alcotest.(check string) "missing pair is marked, not null"
-    "\"skipped (fig2 pair not measured)\""
-    (Bench_json.overhead_field ~trials:3 [ meas "fig4" [ 1.0 ] ])
-
-let test_render_never_null_overhead () =
-  let json =
-    Bench_json.render ~jobs:1 ~engine:Engine.default ~trials:1 ~total_s:1.0
-      [ meas "fig2" [ 1.0 ]; meas "fig2-supervised" [ 1.0 ] ]
-  in
-  let contains ~sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "schema 7" true (contains ~sub:"\"schema\": 7" json);
-  Alcotest.(check bool) "skip marker rendered" true
-    (contains ~sub:"\"supervised_overhead_pct\": \"skipped (trials<2)\"" json);
-  Alcotest.(check bool) "no null overhead" false
-    (contains ~sub:"\"supervised_overhead_pct\": null" json)
 
 (* ------------------------------------------------------------------ *)
 (* The daemon under hostile conditions, in process: admission control
@@ -608,11 +566,6 @@ let suite =
       test_poison_classified;
     Alcotest.test_case "trap releases arrays clean" `Quick
       test_trap_releases_clean;
-    Alcotest.test_case "overhead measured" `Quick test_overhead_measured;
-    Alcotest.test_case "overhead skip markers" `Quick
-      test_overhead_skip_markers;
-    Alcotest.test_case "render: overhead never null" `Quick
-      test_render_never_null_overhead;
     Alcotest.test_case "full queue answers busy" `Quick
       test_queue_shed_answers_busy;
     Alcotest.test_case "excess connection answers busy" `Quick

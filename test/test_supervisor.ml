@@ -263,14 +263,6 @@ let test_fallback_chain_tape_to_interp () =
         (o.Sup.value.Runner.stats = direct.Runner.stats)
   | _ -> Alcotest.fail "expected chained fallback success"
 
-let test_fallback_disabled_fails () =
-  let work _ctx = raise (Spf_sim.Tape.Decode_error "synthetic") in
-  let policy = { Sup.default_policy with engine_fallback = false } in
-  match run_jobs ~policy ~engine:Engine.Tape [ job "t/0" work ] with
-  | [ Error f ] ->
-      Alcotest.check classification "class" Sup.Decode_failure f.Sup.f_class
-  | _ -> Alcotest.fail "expected Error with fallback disabled"
-
 let test_interp_decode_failure_not_looped () =
   (* Decode failure on the interpreter (no engine below it) must fail,
      not fall back forever. *)
@@ -312,8 +304,6 @@ let suite =
       `Quick test_engine_fallback_identical_stats;
     Alcotest.test_case "tape decode failure walks the whole fallback chain"
       `Quick test_fallback_chain_tape_to_interp;
-    Alcotest.test_case "fallback can be disabled by policy" `Quick
-      test_fallback_disabled_fails;
     Alcotest.test_case "no fallback below the interpreter" `Quick
       test_interp_decode_failure_not_looped;
     Alcotest.test_case "outcomes come back in submission order" `Quick
