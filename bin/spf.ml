@@ -356,14 +356,17 @@ let retries_arg =
 (* Supervision engages when any of its flags is given; [campaign] is the
    identity line the journal pins (with the build's digest), so a journal
    cannot silently be reused across a different seed/figure/engine or
-   build. *)
+   build.  A journal that refuses to load (another campaign's, or
+   damaged) is a usage error: its diagnostic, exit 2. *)
 let supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries =
   match (resume, deadline, retries) with
   | None, None, None -> None
   | _ ->
       let journal =
         Option.map
-          (fun dir -> Spf_harness.Journal.start ~dir ~campaign)
+          (fun dir ->
+            try Spf_harness.Journal.start ~dir ~campaign
+            with Failure msg -> die "spf: %s" msg)
           resume
       in
       let bundle_root =

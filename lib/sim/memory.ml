@@ -125,21 +125,29 @@ let unsafe_store_f64 t addr x =
   let v = Int64.bits_of_float x in
   set_64u t.data addr (if Sys.big_endian then swap64 v else v)
 
-(* Convenience array views used by workload generators and checksums. *)
+(* Convenience array views used by workload generators and checksums.
+   [alloc] has mapped the whole destination, so the bulk stores skip the
+   per-element bounds check and go through the unchecked primitives. *)
 
 let alloc_i32_array t values =
   let base = alloc t (4 * Array.length values) in
-  Array.iteri (fun i v -> store t Ir.I32 (base + (4 * i)) v) values;
+  for i = 0 to Array.length values - 1 do
+    unsafe_store t Ir.I32 (base + (4 * i)) (Array.unsafe_get values i)
+  done;
   base
 
 let alloc_i64_array t values =
   let base = alloc t (8 * Array.length values) in
-  Array.iteri (fun i v -> store t Ir.I64 (base + (8 * i)) v) values;
+  for i = 0 to Array.length values - 1 do
+    unsafe_store t Ir.I64 (base + (8 * i)) (Array.unsafe_get values i)
+  done;
   base
 
 let alloc_f64_array t values =
   let base = alloc t (8 * Array.length values) in
-  Array.iteri (fun i v -> store_f64 t (base + (8 * i)) v) values;
+  for i = 0 to Array.length values - 1 do
+    unsafe_store_f64 t (base + (8 * i)) (Array.unsafe_get values i)
+  done;
   base
 
 let read_i32_array t ~base ~len = Array.init len (fun i -> load t Ir.I32 (base + (4 * i)))

@@ -18,17 +18,16 @@ module Loops = Spf_ir.Loops
    - Values are {!Term}s over shared symbols: parameters, matched call
      results, and the widened loop-carried values introduced at loop
      headers.  Two observables agree when their terms are equal.
-   - Loops are not unrolled to termination.  Arriving at a loop header
-     after [unroll] concrete head visits — with [unroll] = 0, on the
-     first arrival — {e widens}: every
-     loop-carried value is replaced by a fresh symbol shared between the
-     two sides (sound because the closing head arrival verifies both
-     sides compute equal next-iteration values — the inductive step),
-     memory is havocked over the loop's statically-collected store
-     regions, and the sound invariant [iv >= v0] is assumed for
-     induction variables whose latch update is a non-negative constant
-     step.  One widened body iteration closes the induction; the exit
-     arm continues with the negated head condition.
+   - Loops are not unrolled.  The first arrival at a loop header
+     {e widens} it: every loop-carried value is replaced by a fresh
+     symbol shared between the two sides (sound because the closing
+     head arrival verifies both sides compute equal next-iteration
+     values — the inductive step), memory is havocked over the loop's
+     statically-collected store regions, and the sound invariant
+     [iv >= v0] is assumed for induction variables whose latch update
+     is a non-negative constant step.  One widened body iteration closes
+     the induction; the exit arm continues with the negated head
+     condition.
    - Memory is a write-version counter plus a log of (version, address,
      region) entries.  A load yields the opaque term
      [mem_v\[addr\]], where [v] is {e canonicalized} to the oldest
@@ -52,9 +51,8 @@ module Loops = Spf_ir.Loops
    check (which the caller must confirm concretely before calling it a
    counterexample), or [Gave_up]. *)
 
-(* Search budgets: concrete head visits before a loop header widens,
-   and the path and step counts past which the checker gives up. *)
-let unroll = 0
+(* Search budgets: the path and step counts past which the checker
+   gives up. *)
 let max_paths = 4096
 let max_steps = 200_000
 
@@ -345,7 +343,6 @@ type path = {
   p_facts : Term.t list;
   p_ver : int;
   p_log : mentry list;  (** newest first *)
-  p_visits : int array;  (** per-header arrival counts *)
   p_ctxs : ctx list;  (** innermost first *)
   p_nforks : int;
   p_seen : (Term.t * int) list;  (** original-side demand accesses so far *)
@@ -852,7 +849,6 @@ let copy_path p =
     p with
     p_env_o = Array.copy p.p_env_o;
     p_env_x = Array.copy p.p_env_x;
-    p_visits = Array.copy p.p_visits;
   }
 
 let step sh p : outcome =
@@ -873,14 +869,7 @@ let step sh p : outcome =
   else begin
     let p =
       match List.assoc_opt bid sh.s_static.linfos with
-      | Some li ->
-          p.p_visits.(bid) <- p.p_visits.(bid) + 1;
-          if p.p_visits.(bid) > unroll then widen sh p li ~bid
-          else begin
-            exec_phis sh.s_orig p.p_env_o ~bid ~pred:p.p_pred;
-            exec_phis sh.s_xform p.p_env_x ~bid ~pred:p.p_pred;
-            p
-          end
+      | Some li -> widen sh p li ~bid
       | None ->
           if p.p_pred >= 0 then begin
             exec_phis sh.s_orig p.p_env_o ~bid ~pred:p.p_pred;
@@ -1031,7 +1020,6 @@ let check ?cancel ~orig ~xform () =
         p_facts = [];
         p_ver = 0;
         p_log = [];
-        p_visits = Array.make (Ir.n_blocks orig) 0;
         p_ctxs = [];
         p_nforks = 0;
         p_seen = [];

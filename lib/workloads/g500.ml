@@ -56,40 +56,58 @@ type graph = {
 }
 
 (* R-MAT edge sampling with the Graph500 parameters (A=0.57, B=0.19,
-   C=0.19). *)
+   C=0.19), one draw per bit of each endpoint, symmetrised into CSR.
+
+   A draw r = x / 2^48, x the low 48 bits of [Rng.next], selects quadrant
+   (0,0) below 0.57, (0,1) below 0.76, (1,0) below 0.95 and (1,1) above.
+   Both the conversion of x < 2^48 and the division by a power of two
+   are exact, so [r < c] holds exactly when [x < ceil (c * 2^48)], and
+   c * 2^48 (an exponent shift) is exact too.  The quadrant bits are then
+   three integer compares against those thresholds and no branch:
+   ub = [x >= t2] and vb = [x >= t1] xor [x >= t2] xor [x >= t3].
+
+   Nothing is allocated per edge: sampled edge k is packed as
+   (u lsl 32) lor v in one flat array (so scale <= 30), degrees are
+   counted as it is drawn, and the scatter writes (u, v) then (v, u) for
+   each k in draw order, so row u lists the far endpoint of every edge
+   at u in the order the edges were drawn (a self-loop twice). *)
+let threshold c = int_of_float (Float.ceil (Float.ldexp c 48))
+
 let kronecker p =
+  if p.scale > 30 then invalid_arg "G500.kronecker: scale must be <= 30";
   let n = 1 lsl p.scale in
   let m = p.edge_factor * n in
   let rng = Rng.create ~seed:p.seed in
-  let edges = Array.make (2 * m) (0, 0) in
+  let t1 = threshold 0.57 and t2 = threshold 0.76 and t3 = threshold 0.95 in
+  let edges = Array.make m 0 in
+  let deg = Array.make n 0 in
   for k = 0 to m - 1 do
     let u = ref 0 and v = ref 0 in
     for bit = 0 to p.scale - 1 do
-      let r = Rng.float rng in
-      let ub, vb =
-        if r < 0.57 then (0, 0)
-        else if r < 0.76 then (0, 1)
-        else if r < 0.95 then (1, 0)
-        else (1, 1)
-      in
-      u := !u lor (ub lsl bit);
-      v := !v lor (vb lsl bit)
+      let x = Rng.next rng land 0xFFFF_FFFF_FFFF in
+      let ge2 = Bool.to_int (x >= t2) in
+      u := !u lor (ge2 lsl bit);
+      v :=
+        !v
+        lor ((Bool.to_int (x >= t1) lxor ge2 lxor Bool.to_int (x >= t3)) lsl bit)
     done;
-    edges.(2 * k) <- (!u, !v);
-    edges.((2 * k) + 1) <- (!v, !u)
+    edges.(k) <- (!u lsl 32) lor !v;
+    deg.(!u) <- deg.(!u) + 1;
+    deg.(!v) <- deg.(!v) + 1
   done;
-  let deg = Array.make n 0 in
-  Array.iter (fun (u, _) -> deg.(u) <- deg.(u) + 1) edges;
   let row = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     row.(i + 1) <- row.(i) + deg.(i)
   done;
-  let fill = Array.copy row in
+  let fill = Array.sub row 0 n in
   let col = Array.make (2 * m) 0 in
   Array.iter
-    (fun (u, v) ->
+    (fun e ->
+      let u = e lsr 32 and v = e land 0xFFFF_FFFF in
       col.(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1)
+      fill.(u) <- fill.(u) + 1;
+      col.(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1)
     edges;
   { n; row; col }
 
@@ -230,26 +248,42 @@ let checksum_parents ~get n =
   !acc
 
 (* Graph construction and the reference BFS are by far the most expensive
-   host-side work; cache them per parameter set (they are immutable). *)
+   host-side work; cache them per parameter set (they are immutable).
+   Pool domains share the memo, so the whole find-or-generate holds one
+   lock: a second domain asking for the same graph waits for it rather
+   than racing the table or generating it again. *)
 let graph_cache : (params, graph * int * int array * int) Hashtbl.t =
   Hashtbl.create 4
 
+let graph_lock = Mutex.create ()
+
 let graph_of p =
-  match Hashtbl.find_opt graph_cache p with
-  | Some entry -> entry
-  | None ->
-      let g = kronecker p in
-      let root = root_of g in
-      let parent_ref, visited =
-        reference_bfs g ~root ~max_vertices:p.max_vertices
-      in
-      let entry = (g, root, parent_ref, visited) in
-      Hashtbl.replace graph_cache p entry;
-      entry
+  Mutex.protect graph_lock (fun () ->
+      match Hashtbl.find_opt graph_cache p with
+      | Some entry -> entry
+      | None ->
+          let g = kronecker p in
+          let root = root_of g in
+          let parent_ref, visited =
+            reference_bfs g ~root ~max_vertices:p.max_vertices
+          in
+          let entry = (g, root, parent_ref, visited) in
+          Hashtbl.replace graph_cache p entry;
+          entry)
 
 let build ?manual ?(name = "G500") (p : params) : Workload.built =
   let g, root, parent_ref, visited = graph_of p in
-  let mem = Memory.create ~initial:(1 lsl 25) () in
+  (* The image is sized to what the four arrays below take (plus the
+     first page, never handed out, and each allocation's line
+     alignment), so it is zeroed once and never grown. *)
+  let footprint =
+    4096
+    + (4 * g.n) + (8 * g.n)
+    + (4 * Array.length g.row)
+    + (4 * Array.length g.col)
+    + (4 * Spf_sim.Machine.line_size)
+  in
+  let mem = Memory.create ~initial:footprint () in
   let work_base = Memory.alloc mem (4 * g.n) in
   let parent_base = Memory.alloc mem (8 * g.n) in
   let row_base = Memory.alloc_i32_array mem g.row in

@@ -34,7 +34,8 @@ type graph = { n : int; row : int array; col : int array }
 
 val kronecker : params -> graph
 (** R-MAT sampling with the Graph500 parameters (A=0.57, B=C=0.19),
-    symmetrised, in CSR. *)
+    symmetrised, in CSR.
+    @raise Invalid_argument if [scale > 30]. *)
 
 val root_of : graph -> int
 val reference_bfs :
@@ -46,4 +47,5 @@ val build_func :
   ?manual:manual -> ?max_vertices:int -> graph -> Spf_ir.Ir.func
 
 val build : ?manual:manual -> ?name:string -> params -> Workload.built
-(** Graphs and reference BFS results are cached per [params]. *)
+(** Graphs and reference BFS results are cached per [params], in one
+    memo that concurrent domains share under a lock. *)

@@ -8,7 +8,7 @@ let create ~seed = { state = (seed * 2) + 1 }
 
 (* splitmix64-style core with the multiplicative constants truncated to
    OCaml's 62-bit positive-int range. *)
-let next t =
+let[@inline] next t =
   t.state <- (t.state + 0x1E3779B97F4A7C15) land max_int;
   let z = t.state in
   let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 land max_int in

@@ -18,7 +18,8 @@ module Distance = Spf_core.Distance
    The fifth column pins the rest: the MD5 of every [Stats] counter,
    rendered as perfbench's fig digests are ([name=value] joined by [,]),
    so a change that moves only hardware prefetches, hit levels, late
-   fills or TLB misses fails here too.  The fig-core rows' digests equal
+   fills or TLB misses fails here too.  The fig-core rows' digests, and
+   the G500-s16-4k rows' (perfbench's fig-graph scale-16 cell), equal
    those in perfbench/reference.ml. *)
 
 let golden =
@@ -67,6 +68,17 @@ let golden =
       "734ae1d8b43e63ebd12024668c161169");
     ("A53", "HJ-8", "manual", (24926651, 7077894, 1245184, 262144),
       "b324767228a4b77136d11ec3cda802fe");
+    (* Graph500 BFS over the generated scale-16 Kronecker graph, budgeted
+       to 4,000 vertices: the one golden input built at run time, so these
+       rows also pin the graph generator. *)
+    ("Haswell", "G500-s16-4k", "plain", (6775056, 13038416, 2547230, 0),
+      "1832511cc0bcc671dd2b997970ca1b6b");
+    ("Haswell", "G500-s16-4k", "auto", (8030271, 26990181, 3814845, 2539230),
+      "c5aae27eddc78d33e9cebb16689742c9");
+    ("A53", "G500-s16-4k", "plain", (45572118, 13038416, 2547230, 0),
+      "63c6ebd7743a4f16181c5bfb5b8519be");
+    ("A53", "G500-s16-4k", "auto", (37095626, 26990181, 3814845, 2539230),
+      "cee9cfbe4f5c55f2e8846de8b3d1ca47");
     (* Distance-provider rows (PR 7): the pass under a Fixed provider at
        two explicit look-aheads, and under the Adaptive provider with the
        windowed tuner attached.  Adaptive is bit-deterministic for a fixed
@@ -104,9 +116,16 @@ let machine_of = function
   | "A53" -> Machine.a53
   | m -> Alcotest.failf "unknown golden machine %s" m
 
+let g500_s16_4k () =
+  Benches.g500_bench ~id:"G500-s16-4k"
+    ~params:{ Spf_workloads.G500.small with max_vertices = Some 4000 }
+    ()
+
 let bench_of id =
   match
-    List.find_opt (fun (b : Benches.bench) -> b.id = id) (Benches.all ())
+    List.find_opt
+      (fun (b : Benches.bench) -> b.id = id)
+      (g500_s16_4k () :: Benches.all ())
   with
   | Some b -> b
   | None -> Alcotest.failf "unknown golden bench %s" id

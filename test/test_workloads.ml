@@ -132,6 +132,71 @@ let test_g500_graph () =
       end)
     parent
 
+(* Every G500 graph the figures, perfbench and the tests build, pinned bit
+   for bit: the MD5 of [row] and of [col], each rendered as int32
+   little-endian bytes (a stable rendering, unlike a Marshal image).  A
+   generator rewrite must make the same draws in the same order and
+   scatter both directions of each edge in the same order. *)
+let graph_pins =
+  [
+    ("Test_pass.small_g500", Test_pass.small_g500,
+      "135cd2c7d617bb46de8f8a286b12d05b", "a2053dac78c8b25f3176b0eed5ffddf6");
+    ("G500.small", G500.small,
+      "fbaa5175663be59d0c6cab72705dcf5d", "4183a9b73abfe2c6c13887aa34967008");
+    ("fig-graph s18",
+      { G500.scale = 18; edge_factor = 10; seed = 5; max_vertices = None },
+      "eb1a24c75f5351c31978b020922a9d49", "f842cb7f925039be5629e635861315f5");
+    ("G500.large", G500.large,
+      "0e48014bee4784d21a5a35038f7c0297", "59b05b0220407b09a1f8e93189b7d495");
+  ]
+
+let md5_i32_le a =
+  let b = Bytes.create (4 * Array.length a) in
+  Array.iteri (fun i v -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)) a;
+  Digest.to_hex (Digest.bytes b)
+
+let test_g500_graph_pinned () =
+  List.iter
+    (fun (name, p, row_md5, col_md5) ->
+      let g = G500.kronecker p in
+      Alcotest.(check string) (name ^ " row") row_md5 (md5_i32_le g.G500.row);
+      Alcotest.(check string) (name ^ " col") col_md5 (md5_i32_le g.G500.col))
+    graph_pins;
+  (* An edge packs both endpoints into one int, 32 bits each. *)
+  Alcotest.check_raises "scale past the packing limit"
+    (Invalid_argument "G500.kronecker: scale must be <= 30") (fun () ->
+      ignore
+        (G500.kronecker
+           { G500.scale = 31; edge_factor = 1; seed = 1; max_vertices = None }))
+
+(* Pool domains share the graph memo: two domains building the same
+   (not yet cached) params at once must each get the instance a serial
+   build gets, and its CSR image must be the generator's graph. *)
+let test_g500_cache_concurrent () =
+  let p = { G500.scale = 11; edge_factor = 8; seed = 23; max_vertices = None } in
+  let fingerprint (b : Workload.built) =
+    (b.Workload.expected, Spf_sim.Memory.digest b.Workload.mem)
+  in
+  let build () = fingerprint (G500.build p) in
+  let d1 = Domain.spawn build and d2 = Domain.spawn build in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let serial = G500.build p in
+  let expected, digest = fingerprint serial in
+  List.iter
+    (fun (e, d) ->
+      Alcotest.(check int) "expected equals the serial build's" expected e;
+      Alcotest.(check string) "memory digest equals the serial build's" digest d)
+    [ r1; r2 ];
+  let g = G500.kronecker p in
+  let read i len =
+    Spf_sim.Memory.read_i32_array serial.Workload.mem
+      ~base:serial.Workload.args.(i) ~len
+  in
+  Alcotest.(check bool) "row image is the generator's" true
+    (read 2 (g.G500.n + 1) = g.G500.row);
+  Alcotest.(check bool) "col image is the generator's" true
+    (read 3 (Array.length g.G500.col) = g.G500.col)
+
 (* The bounded BFS is a prefix of the full BFS. *)
 let test_g500_bounded_prefix () =
   let p = Test_pass.small_g500 in
@@ -182,6 +247,10 @@ let suite =
     Alcotest.test_case "G500 variants validate" `Slow test_g500;
     Alcotest.test_case "HJ table construction" `Quick test_hj_construction;
     Alcotest.test_case "Kronecker/CSR invariants" `Quick test_g500_graph;
+    Alcotest.test_case "G500 graphs pinned bit for bit" `Slow
+      test_g500_graph_pinned;
+    Alcotest.test_case "G500 graph memo shared by two domains" `Quick
+      test_g500_cache_concurrent;
     Alcotest.test_case "bounded BFS is a prefix" `Quick test_g500_bounded_prefix;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
