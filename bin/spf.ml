@@ -6,18 +6,21 @@
      run <bench>               simulate one benchmark on one machine
      fig <id>|all              regenerate a paper figure/table
      sweep <bench>             look-ahead sweep for one benchmark
-     profile <bench>           per-load hit/miss attribution (untimed)
+     profile <bench>           per-pc hit/miss attribution from one timed run
      split <bench>             loop splitting + clamp-free prefetching
      fuzz                      differential fuzzing of the pass
      validate <case>           translation validation: proof or counterexample
      replay <bundle>           re-run a crash bundle offline
+     serve / loadtest / chaos  the simulation service and its drivers
 
-   Campaign subcommands (fig, fuzz) take --resume DIR / --deadline /
-   --retries, which run the simulations under Spf_harness.Supervisor:
-   per-job deadlines, bounded retry, checkpoint/resume (byte-identical
-   stdout) and replayable crash bundles under DIR/bundles.  Exit codes:
-   0 success, 1 fuzz divergence, 2 usage error (an unknown figure, a
-   stale profile...), 3 supervised campaign incomplete. *)
+   Campaign subcommands (fig, fuzz, validate --golden/--corpus) run their
+   jobs through Spf_harness.Supervisor, which retries a transient failure
+   once; --resume DIR / --deadline / --retries add checkpoint/resume
+   (byte-identical stdout) with replayable crash bundles under
+   DIR/bundles, per-job deadlines, and a retry budget.  Exit codes: 0
+   success, 1 fuzz divergence or refutation, 2 usage error (an unknown
+   figure, a stale profile...) or validation give-up, 3 campaign
+   incomplete (fig, fuzz: a job failed permanently). *)
 
 module Machine = Spf_sim.Machine
 module Workload = Spf_workloads.Workload
@@ -329,7 +332,7 @@ let resume_arg =
            them and produces byte-identical output (a journal written by \
            another build is refused); permanently-failed jobs leave \
            replayable crash bundles under $(docv)/bundles (see \
-           $(b,spf replay)).  Implies supervised execution.")
+           $(b,spf replay)).")
 
 let deadline_arg =
   Arg.(
@@ -341,7 +344,7 @@ let deadline_arg =
            cancelled cooperatively: the simulator checks the clock \
            every 1024 basic blocks (the validator every symbolic step) \
            and stops at the first check past the deadline.  Timeouts \
-           are retried, then reported.  Implies supervised execution.")
+           are retried, then reported.")
 
 let retries_arg =
   Arg.(
@@ -350,58 +353,69 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Re-runs allowed per job after transient failures or timeouts \
-           (exponential backoff; default 1).  Implies supervised \
-           execution.")
+           (exponential backoff; default 1).")
 
-(* Supervision engages when any of its flags is given; [campaign] is the
-   identity line the journal pins (with the build's digest), so a journal
-   cannot silently be reused across a different seed/figure/engine or
-   build.  A journal that refuses to load (another campaign's, or
-   damaged) is a usage error: its diagnostic, exit 2. *)
+(* Every campaign runs under the supervisor; the flags tune it.
+   [campaign] is the identity line the journal pins (with the build's
+   digest), so a journal cannot silently be reused across a different
+   seed/figure/engine or build.  A journal that refuses to load (another
+   campaign's, or damaged) is a usage error: its diagnostic, exit 2. *)
 let supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries =
-  match (resume, deadline, retries) with
-  | None, None, None -> None
-  | _ ->
-      let journal =
-        Option.map
-          (fun dir ->
-            try Spf_harness.Journal.start ~dir ~campaign
-            with Failure msg -> die "spf: %s" msg)
-          resume
-      in
-      let bundle_root =
-        Option.map (fun dir -> Filename.concat dir "bundles") resume
-      in
-      let policy =
-        {
-          Spf_harness.Supervisor.default_policy with
-          deadline_s = deadline;
-          retries =
-            Option.value retries
-              ~default:Spf_harness.Supervisor.default_policy.retries;
-        }
-      in
-      Some
-        (Spf_harness.Supervisor.options ~policy ?jobs ~engine ?journal
-           ?bundle_root ())
+  let journal =
+    Option.map
+      (fun dir ->
+        try Spf_harness.Journal.start ~dir ~campaign
+        with Failure msg -> die "spf: %s" msg)
+      resume
+  in
+  let bundle_root =
+    Option.map (fun dir -> Filename.concat dir "bundles") resume
+  in
+  let policy =
+    {
+      Spf_harness.Supervisor.default_policy with
+      deadline_s = deadline;
+      retries =
+        Option.value retries
+          ~default:Spf_harness.Supervisor.default_policy.retries;
+    }
+  in
+  Spf_harness.Supervisor.options ~policy ?jobs ~engine ?journal ?bundle_root
+    ()
+
+(* Run a fig or fuzz campaign; when jobs failed permanently (already
+   reported on stderr), say so and exit 3.  Checkpoints are mentioned
+   only when a journal was kept. *)
+let campaign_exit ~what ~noun ~resume f =
+  try f ()
+  with Spf_harness.Supervisor.Campaign_failed n ->
+    Format.eprintf "%s: %d %s(s) failed permanently%s@." what n noun
+      (match resume with
+      | Some dir ->
+          Printf.sprintf
+            "; completed %ss are checkpointed in %s — rerun the same \
+             command to retry only the failures"
+            noun dir
+      | None -> "");
+    exit 3
 
 let fig_cmd =
   let doc = "Regenerate a figure/table from the paper's evaluation." in
-  let figs sup jobs engine provider : (string * (unit -> unit)) list =
+  let figs sup provider : (string * (unit -> unit)) list =
     [
       ("table1", Figures.table1);
-      ("fig2", Figures.fig2 ?sup ?jobs ~engine);
-      ("fig4", Figures.fig4 ?sup ?jobs ~engine ?provider);
-      ("fig5", Figures.fig5 ?sup ?jobs ~engine ?provider);
-      ("fig6", Figures.fig6 ?sup ?jobs ~engine);
-      ("fig7", Figures.fig7 ?sup ?jobs ~engine);
-      ("fig8", Figures.fig8 ?sup ?jobs ~engine);
-      ("fig9", Figures.fig9 ?sup ?jobs ~engine);
-      ("fig10", Figures.fig10 ?sup ?jobs ~engine ?provider);
-      ("ablation", Figures.ablation_flat_offsets ?sup ?jobs ~engine);
-      ("ablation-split", Figures.ablation_split ?sup ?jobs ~engine);
-      ("distance-sweep", Figures.distance_sweep ?sup ?jobs ~engine);
-      ("distance-smoke", Figures.distance_smoke ?sup ?jobs ~engine);
+      ("fig2", Figures.fig2 ~sup);
+      ("fig4", Figures.fig4 ~sup ?provider);
+      ("fig5", Figures.fig5 ~sup ?provider);
+      ("fig6", Figures.fig6 ~sup);
+      ("fig7", Figures.fig7 ~sup);
+      ("fig8", Figures.fig8 ~sup);
+      ("fig9", Figures.fig9 ~sup);
+      ("fig10", Figures.fig10 ~sup ?provider);
+      ("ablation", Figures.ablation_flat_offsets ~sup);
+      ("ablation-split", Figures.ablation_split ~sup);
+      ("distance-sweep", Figures.distance_sweep ~sup);
+      ("distance-smoke", Figures.distance_smoke ~sup);
     ]
   in
   let run which jobs engine resume deadline retries pkind =
@@ -430,28 +444,15 @@ let fig_cmd =
     let sup =
       supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries
     in
-    let figs = figs sup jobs engine provider in
-    match
-      if which = "all" then List.iter (fun (_, f) -> f ()) figs
-      else
-        match List.assoc_opt which figs with
-        | Some f -> f ()
-        | None ->
-            die "unknown figure %S; known: all %s" which
-              (String.concat " " (List.map fst figs))
-    with
-    | () -> ()
-    | exception Figures.Campaign_failed n ->
-        Format.eprintf
-          "fig %s: %d cell(s) failed permanently; completed cells are \
-           checkpointed%s@."
-          which n
-          (match resume with
-          | Some dir ->
-              Printf.sprintf " in %s — rerun the same command to retry only \
-                              the failures" dir
-          | None -> "");
-        exit 3
+    let figs = figs sup provider in
+    campaign_exit ~what:("fig " ^ which) ~noun:"cell" ~resume (fun () ->
+        if which = "all" then List.iter (fun (_, f) -> f ()) figs
+        else
+          match List.assoc_opt which figs with
+          | Some f -> f ()
+          | None ->
+              die "unknown figure %S; known: all %s" which
+                (String.concat " " (List.map fst figs)))
   in
   Cmd.v
     (Cmd.info "fig" ~doc)
@@ -635,7 +636,7 @@ let fuzz_cmd =
           ~doc:
             "(testing) Replace case $(docv) with an infinite simulator \
              loop, exercising the deadline cancellation path.  Requires \
-             supervised execution ($(b,--deadline)).")
+             $(b,--deadline).")
   in
   let inject_crash_arg =
     Arg.(
@@ -643,8 +644,8 @@ let fuzz_cmd =
       & opt (some int) None
       & info [ "inject-crash" ] ~docv:"N"
           ~doc:
-            "(testing) Make case $(docv) raise, exercising the \
-             crash-bundle path.  Requires supervised execution.")
+            "(testing) Make case $(docv) raise, exercising the failure \
+             report and, with $(b,--resume), the crash-bundle path.")
   in
   let run seed count shrink c margin jobs engine cross_engine oracle resume
       deadline retries inject_hang inject_crash pkind =
@@ -669,21 +670,15 @@ let fuzz_cmd =
       Spf_core.Config.with_provider provider
         (with_margin margin (Spf_core.Config.with_c c Spf_core.Config.default))
     in
-    let oracle =
-      match oracle with
-      | Some `Concrete -> Some (Spf_fuzz.Oracle.Concrete (Some engine))
-      | Some `Cross -> Some Spf_fuzz.Oracle.Cross_engine
-      | Some `Symbolic -> Some Spf_fuzz.Oracle.Symbolic
-      | None -> None
-    in
     let mode =
       match oracle with
-      | Some m -> m
+      | Some `Concrete -> Spf_fuzz.Oracle.Concrete (Some engine)
+      | Some `Cross -> Spf_fuzz.Oracle.Cross_engine
+      | Some `Symbolic -> Spf_fuzz.Oracle.Symbolic
       | None ->
           if cross_engine then Spf_fuzz.Oracle.Cross_engine
           else Spf_fuzz.Oracle.Concrete (Some engine)
     in
-    let progress n = Format.printf "  ... %d/%d@." n count; Format.print_flush () in
     let campaign =
       Printf.sprintf "fuzz seed=%d count=%d c=%d oracle=%s margin=%s \
                       provider=%s"
@@ -692,43 +687,23 @@ let fuzz_cmd =
         (match margin with Some m -> string_of_int m | None -> "-")
         (Spf_core.Distance.kind provider)
     in
-    let supervise =
-      supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries
-    in
+    (* Without a deadline an injected hang would never end. *)
+    if inject_hang <> None && deadline = None then
+      die "spf fuzz: --inject-hang needs --deadline";
     let inject =
       match (inject_hang, inject_crash) with
       | Some n, _ -> Some (n, Spf_fuzz.Driver.Hang)
       | None, Some n -> Some (n, Spf_fuzz.Driver.Crash)
       | None, None -> None
     in
-    (match (inject, supervise) with
-    | Some _, None ->
-        Format.eprintf
-          "fuzz: --inject-hang/--inject-crash need supervised execution \
-           (--resume, --deadline or --retries)@.";
-        exit 2
-    | _ -> ());
-    let jobs =
-      match jobs with Some j -> j | None -> Spf_harness.Pool.default_jobs ()
-    in
-    match
-      Spf_fuzz.Driver.run ~config ~engine ~cross_engine ?oracle ~shrink
-        ~progress ~seed ~jobs ?supervise ?inject ~count ()
-    with
-    | s ->
+    let sup = supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries in
+    campaign_exit ~what:"fuzz" ~noun:"case" ~resume (fun () ->
+        let s =
+          Spf_fuzz.Driver.run ~config ~oracle:mode ~shrink ~seed ~sup ?inject
+            ~count ()
+        in
         Format.printf "%a" Spf_fuzz.Driver.pp_summary s;
-        if not (Spf_fuzz.Driver.ok s) then exit 1
-    | exception Spf_fuzz.Driver.Campaign_incomplete n ->
-        Format.eprintf
-          "fuzz: %d case(s) failed permanently; completed cases are \
-           checkpointed%s@."
-          n
-          (match resume with
-          | Some dir ->
-              Printf.sprintf " in %s — rerun the same command to retry only \
-                              the failures" dir
-          | None -> "");
-        exit 3
+        if not (Spf_fuzz.Driver.ok s) then exit 1)
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
@@ -774,12 +749,12 @@ let validate_cmd =
       & opt (some string) None
       & info [ "corpus" ] ~docv:"DIR"
           ~doc:
-            "Validate every $(b,*.case) file under $(docv).  With the \
-             supervision flags, each file runs as a supervised job \
-             ($(b,validate/<file>)): a proof search that exceeds the \
-             deadline is classified as a give-up instead of poisoning \
-             the sweep, and completed files checkpoint/resume through \
-             the journal.")
+            "Validate every $(b,*.case) file under $(docv).  Each file \
+             runs as a campaign job ($(b,validate/<file>)): a file that \
+             does not parse, or a proof search that exceeds the \
+             deadline, is a give-up row naming the reason instead of \
+             poisoning the sweep, and completed files checkpoint/resume \
+             through the journal.")
   in
   let gen_arg =
     Arg.(
@@ -807,6 +782,13 @@ let validate_cmd =
   let run file golden corpus gen count seed margin jobs engine resume deadline
       retries =
     let config = with_margin margin Spf_core.Config.default in
+    let sup what =
+      let campaign =
+        Printf.sprintf "validate %s margin=%s" what
+          (match margin with Some m -> string_of_int m | None -> "-")
+      in
+      supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries
+    in
     (* Fold a batch of per-pair statuses into output + exit code:
        refutation dominates give-up dominates proved. *)
     let finish rows =
@@ -858,19 +840,14 @@ let validate_cmd =
             Format.printf "%s: gave up: %s@." f r;
             exit 2)
     | None, true, None, None ->
-        finish
-          (List.map
-             (fun (name, o) -> (name, Spf_valid.Validate.status_of_outcome o))
-             (Spf_valid.Validate.check_golden ~config ()))
+        finish (Spf_valid.Validate.check_golden ~config ~sup:(sup "golden") ())
     | None, false, Some dir, None ->
-        let campaign =
-          Printf.sprintf "validate corpus=%s margin=%s" dir
-            (match margin with Some m -> string_of_int m | None -> "-")
-        in
-        let supervise =
-          supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries
-        in
-        finish (Spf_valid.Validate.check_corpus ~config ?supervise dir)
+        (* Before [sup]: a --resume journal must not outlive a bad DIR. *)
+        (try ignore (Sys.readdir dir)
+         with Sys_error m -> die "spf validate: %s" m);
+        finish
+          (Spf_valid.Validate.check_corpus ~config ~sup:(sup ("corpus=" ^ dir))
+             dir)
     | None, false, None, Some dir -> (
         (try if not (Sys.is_directory dir) then begin
            Format.eprintf "spf validate: %s exists and is not a directory@." dir;

@@ -1,6 +1,5 @@
 module Pass = Spf_core.Pass
 module Rng = Spf_workloads.Rng
-module Pool = Spf_harness.Pool
 module Supervisor = Spf_harness.Supervisor
 module Bundle = Spf_harness.Bundle
 module Runner = Spf_harness.Runner
@@ -19,7 +18,10 @@ module Runner = Spf_harness.Runner
 
    Every case draws from its own [Rng.split]-derived stream, so cases are
    independent of each other and of the execution order: a campaign fanned
-   out over N domains produces the same summary as a serial one. *)
+   out over N domains produces the same summary as a serial one.  Cases
+   run as keyed {!Supervisor} jobs ("case/<n>"), so the supervisor's
+   options decide the pool width, the engine, deadlines, retries,
+   checkpoint/resume and crash bundles. *)
 
 type failure = {
   case : int;  (* 0-based index into the campaign *)
@@ -136,8 +138,6 @@ let run_case ?config ?cancel ~mode ~shrink ~seed case =
         c_failure = Some (spec, d, shrunk);
       }
 
-exception Campaign_incomplete of int
-
 type injected_fault = Hang | Crash
 
 (* Fault-injection hooks for the resilience tests: [Hang] runs an
@@ -161,12 +161,12 @@ let hang_forever (ctx : Runner.ctx) =
     ~finally:(fun () -> Spf_sim.Interp.release interp)
     (fun () -> Spf_sim.Interp.run interp)
 
-(* The per-case job under supervision.  The work function honours the
-   supervisor's context (engine override, cancellation token); a
-   divergence — a result, not an exception — writes its own crash bundle
-   since the supervisor only bundles exceptional failures; [binfo]
-   supplies the reproduction payload for those (crashes, hangs). *)
-let supervised_job ?config ?inject opts ~mode ~shrink ~seed case =
+(* The per-case job.  The work function honours the supervisor's context
+   (engine override, cancellation token); a divergence — a result, not an
+   exception — writes its own crash bundle since the supervisor only
+   bundles exceptional failures; [binfo] supplies the reproduction
+   payload for those (crashes, hangs). *)
+let job ?config ?inject sup ~mode ~shrink ~seed case =
   let key = Printf.sprintf "case/%d" case in
   let work (ctx : Runner.ctx) =
     (match inject with
@@ -183,7 +183,7 @@ let supervised_job ?config ?inject opts ~mode ~shrink ~seed case =
       | _ -> mode
     in
     let r = run_case ?config ?cancel:ctx.Runner.cancel ~mode ~shrink ~seed case in
-    (match (r.c_failure, Supervisor.bundle_root opts) with
+    (match (r.c_failure, Supervisor.bundle_root sup) with
     | Some (spec, d, shrunk), Some root ->
         let best = Option.value shrunk ~default:spec in
         let p = Replay.payload ?config ~mode best in
@@ -209,41 +209,14 @@ let supervised_job ?config ?inject opts ~mode ~shrink ~seed case =
   in
   { Supervisor.key; work; binfo = Some binfo }
 
-let encode_case (r : case_result) = Marshal.to_string r []
-
-let decode_case s =
-  try Some (Marshal.from_string s 0 : case_result) with _ -> None
-
-let run ?config ?engine ?(cross_engine = false) ?oracle ?(shrink = false)
-    ?progress ?(seed = 0) ?(jobs = 1) ?supervise ?inject ~count () : summary =
+let run ?config ?oracle ?(shrink = false) ?(seed = 0)
+    ?(sup = Supervisor.options ()) ?inject ~count () : summary =
   let mode =
-    match oracle with
-    | Some m -> m
-    | None ->
-        if cross_engine then Oracle.Cross_engine else Oracle.Concrete engine
+    Option.value oracle ~default:(Oracle.Concrete (Supervisor.engine sup))
   in
   let results =
-    match supervise with
-    | None ->
-        Pool.map ~jobs
-          (fun case ->
-            (match progress with
-            | Some f when jobs <= 1 && case mod 500 = 0 && case > 0 -> f case
-            | _ -> ());
-            run_case ?config ~mode ~shrink ~seed case)
-          (List.init count Fun.id)
-    | Some opts ->
-        let sjobs =
-          List.init count
-            (supervised_job ?config ?inject opts ~mode ~shrink ~seed)
-        in
-        let results =
-          Supervisor.run_jobs opts ~encode:encode_case ~decode:decode_case
-            sjobs
-        in
-        let ok, failed = Supervisor.report_stderr results in
-        if failed <> [] then raise (Campaign_incomplete (List.length failed));
-        List.map (fun (o : _ Supervisor.outcome) -> o.value) ok
+    Supervisor.run_campaign sup
+      (List.init count (job ?config ?inject sup ~mode ~shrink ~seed))
   in
   let transformed = ref 0
   and rejected_only = ref 0

@@ -1,4 +1,5 @@
-(** Differential-fuzzing campaign driver.  See docs/ROBUSTNESS.md. *)
+(** Differential-fuzzing campaign driver: one {!Spf_harness.Supervisor}
+    campaign of generated cases.  See docs/ROBUSTNESS.md. *)
 
 type failure = {
   case : int;
@@ -27,27 +28,16 @@ type summary = {
 val pp_summary : Format.formatter -> summary -> unit
 val ok : summary -> bool
 
-exception Campaign_incomplete of int
-(** A supervised campaign had cases that failed permanently (crashed,
-    hung past their deadline and retries); carries the count.  Completed
-    cases are already checkpointed, failed ones bundled and reported to
-    stderr, so re-running with the same journal retries only the failed
-    cases. *)
-
 type injected_fault =
   | Hang  (** an infinite IR loop run with the job's cancellation token *)
   | Crash  (** a deterministic exception from inside the job *)
 
 val run :
   ?config:Spf_core.Config.t ->
-  ?engine:Spf_sim.Engine.t ->
-  ?cross_engine:bool ->
   ?oracle:Oracle.mode ->
   ?shrink:bool ->
-  ?progress:(int -> unit) ->
   ?seed:int ->
-  ?jobs:int ->
-  ?supervise:Spf_harness.Supervisor.options ->
+  ?sup:Spf_harness.Supervisor.options ->
   ?inject:int * injected_fault ->
   count:int ->
   unit ->
@@ -55,21 +45,16 @@ val run :
 (** Run [count] generated cases from [seed] (default 0) through the
     oracle; failures are shrunk to minimal reproducers when [shrink] —
     under the {e same} oracle mode the campaign runs, so a symbolic
-    counterexample shrinks under the symbolic oracle.  [oracle] picks
-    the mode directly; without it, [engine] selects the simulator engine
-    for the concrete oracle and [cross_engine] switches to
-    {!Oracle.check_engines}, which instead compares the two engines
-    against each other on every case (and ignores [engine]).
+    counterexample shrinks under the symbolic oracle.  [oracle] defaults
+    to the concrete oracle on [sup]'s engine.
 
-    Cases are distributed over [jobs] domains (default 1 = serial).  Each
-    case draws from its own {!Spf_workloads.Rng.split} stream, so the
-    summary — counters and the ordered failure list alike — is identical
-    for every [jobs] value.  [progress] only fires on serial runs.
-
-    With [supervise], cases instead run as keyed {!Spf_harness.Supervisor}
-    jobs ("case/<n>"): deadlines, retry, checkpoint/resume and crash
-    bundles (docs/ROBUSTNESS.md) — the supervisor's [jobs]/[engine]
-    options take precedence, and divergences additionally write
-    replayable bundles under the supervisor's bundle root.  [inject]
-    makes case [n] fail for the resilience tests.
-    @raise Campaign_incomplete when supervised cases failed permanently. *)
+    Cases run as keyed {!Spf_harness.Supervisor} jobs ("case/<n>") under
+    [sup] (default [Supervisor.options ()]): its pool width, engine,
+    deadline, retries, journal (checkpoint/resume) and bundle root
+    (crash bundles; divergences write replayable bundles there too) all
+    apply (docs/ROBUSTNESS.md).  Each case draws from its own
+    {!Spf_workloads.Rng.split} stream, so the summary — counters and the
+    ordered failure list alike — is identical for every [jobs] value.
+    [inject] makes case [n] fail for the resilience tests.
+    @raise Spf_harness.Supervisor.Campaign_failed when cases failed
+    permanently. *)

@@ -13,15 +13,15 @@ module Config = Spf_core.Config
    the approximate values read off the paper's charts so drift is obvious.
 
    Each figure is built as a list of independent cells, each a function
-   of the per-job execution context ({!Runner.ctx}): unsupervised runs
-   fan them out over {!Pool} directly; supervised runs hand them to
-   {!Supervisor} as keyed jobs ("<fig>/<index>"), which adds deadlines,
-   retry, checkpoint/resume and crash bundles.  Results are collected in
-   submission order and printed serially, so the printed output is
-   byte-identical to a serial run for every [jobs] value — and, because
-   checkpointed payloads round-trip through Marshal exactly, for
-   resumed runs too.  Each cell also returns the simulated cycles it
-   executed, which is what [spf replay] reports for a re-run cell.
+   of the per-job execution context ({!Runner.ctx}), handed to
+   {!Supervisor.run_campaign} as keyed jobs ("<fig>/<index>"), which adds
+   deadlines, retry, checkpoint/resume and crash bundles as the options
+   ask.  Results are collected in submission order and printed serially,
+   so the printed output is byte-identical to a serial run for every
+   [jobs] value — and, because checkpointed payloads round-trip through
+   Marshal exactly, for resumed runs too.  Each cell also returns the
+   simulated cycles it executed, which is what [spf replay] reports for a
+   re-run cell.
 
    The experiment index lives in DESIGN.md §3; paper-vs-measured narrative
    in EXPERIMENTS.md. *)
@@ -31,58 +31,34 @@ let fmt = Format.std_formatter
 let hr title =
   Format.fprintf fmt "@.=== %s ===@." title
 
-exception Campaign_failed of int
-
-(* Checkpoint codec for cell payloads: Marshal round-trips OCaml floats
-   and records bit-exactly, which is what makes resumed figure output
-   byte-identical.  The journal's per-record checksum guards integrity;
-   decode failure therefore means an incompatible build, not corruption. *)
-let encode v = Marshal.to_string v []
-
-let decode s = try Some (Marshal.from_string s 0) with _ -> None
-
-(* Fan a figure's cells out — each takes the job context and returns
-   (value, simulated cycles); the values come back in submission order.
-   With [sup], cells run under the full supervision pipeline instead and
-   a permanently-failed cell aborts the figure with {!Campaign_failed}
-   (after every other cell has finished and been checkpointed). *)
-let par ?sup ?jobs ?engine ~fig thunks =
-  let rs =
-    match sup with
-    | None ->
-        let ctx = Runner.ctx_of_engine engine in
-        Pool.map ?jobs (fun f -> f ctx) thunks
-    | Some opts ->
-        let sjobs =
-          List.mapi
-            (fun i work ->
-              {
-                Supervisor.key = Printf.sprintf "%s/%d" fig i;
-                work;
-                binfo =
-                  (* Enough for [spf replay] to re-run the cell from the
-                     registry: figure name + index. *)
-                  Some
-                    (fun _ ->
-                      {
-                        Supervisor.b_meta =
-                          [
-                            ("kind", "fig-cell");
-                            ("figure", fig);
-                            ("index", string_of_int i);
-                          ];
-                        b_ir = None;
-                        b_payload = None;
-                      });
-              })
-            thunks
-        in
-        let results = Supervisor.run_jobs opts ~encode ~decode sjobs in
-        let ok, failed = Supervisor.report_stderr results in
-        if failed <> [] then raise (Campaign_failed (List.length failed));
-        List.map (fun (o : _ Supervisor.outcome) -> o.value) ok
+(* Run a figure's cells — each takes the job context and returns
+   (value, simulated cycles) — as one campaign; the values come back in
+   submission order.  A permanently-failed cell aborts the figure with
+   {!Supervisor.Campaign_failed}, after every other cell has finished
+   (and been checkpointed, with a journal). *)
+let par ?(sup = Supervisor.options ()) ~fig cells =
+  let job i work =
+    {
+      Supervisor.key = Printf.sprintf "%s/%d" fig i;
+      work;
+      binfo =
+        (* Enough for [spf replay] to re-run the cell from the registry:
+           figure name + index. *)
+        Some
+          (fun _ ->
+            {
+              Supervisor.b_meta =
+                [
+                  ("kind", "fig-cell");
+                  ("figure", fig);
+                  ("index", string_of_int i);
+                ];
+              b_ir = None;
+              b_payload = None;
+            });
+    }
   in
-  List.map fst rs
+  List.map fst (Supervisor.run_campaign sup (List.mapi job cells))
 
 (* ------------------------------------------------------------------ *)
 
@@ -111,9 +87,9 @@ let fig2_core () =
          (r, Runner.cycles r))
        fig2_schemes
 
-let fig2 ?sup ?jobs ?engine () =
+let fig2 ?sup () =
   hr "Fig 2: manual prefetch schemes for IS on Haswell";
-  let runs = par ?sup ?jobs ?engine ~fig:"fig2" (fig2_core ()) in
+  let runs = par ?sup ~fig:"fig2" (fig2_core ()) in
   let base, scheme_runs =
     match runs with b :: rest -> (b, rest) | [] -> assert false
   in
@@ -177,10 +153,10 @@ let fig4_core ?provider () =
       List.map (fun b ctx -> fig4_cell ?provider ctx ~machine b) benches)
     Machine.all
 
-let fig4 ?sup ?jobs ?engine ?provider () =
+let fig4 ?sup ?provider () =
   hr "Fig 4: autogenerated and manual software-prefetch speedups";
   let benches = Benches.all () in
-  let cells = par ?sup ?jobs ?engine ~fig:"fig4" (fig4_core ?provider ()) in
+  let cells = par ?sup ~fig:"fig4" (fig4_core ?provider ()) in
   (* Regroup the machine-major job list into per-machine panels. *)
   let nb = List.length benches in
   let rows_of k = List.filteri (fun i _ -> i / nb = k) cells in
@@ -243,9 +219,9 @@ let fig5_core ?provider () =
         Runner.cycles base + Runner.cycles ind_r + Runner.cycles both_r ))
     (Benches.all ())
 
-let fig5 ?sup ?jobs ?engine ?provider () =
+let fig5 ?sup ?provider () =
   hr "Fig 5: indirect-only vs indirect+stride prefetches (auto, Haswell)";
-  let rows = par ?sup ?jobs ?engine ~fig:"fig5" (fig5_core ?provider ()) in
+  let rows = par ?sup ~fig:"fig5" (fig5_core ?provider ()) in
   List.iter
     (fun (id, indirect_only, both) ->
       Format.fprintf fmt "  %-10s indirect=%5.2fx  indirect+stride=%5.2fx@."
@@ -281,10 +257,10 @@ let fig6_core () =
       (speedups, !acc))
     pairs
 
-let fig6 ?sup ?jobs ?engine () =
+let fig6 ?sup () =
   hr "Fig 6: speedup vs look-ahead distance c (manual prefetches)";
   let benches = Benches.sweepable () in
-  let rows = par ?sup ?jobs ?engine ~fig:"fig6" (fig6_core ()) in
+  let rows = par ?sup ~fig:"fig6" (fig6_core ()) in
   let nm = List.length Machine.all in
   List.iteri
     (fun k (b : Benches.bench) ->
@@ -323,9 +299,9 @@ let fig7_core () =
       (speedups, !acc))
     Machine.all
 
-let fig7 ?sup ?jobs ?engine () =
+let fig7 ?sup () =
   hr "Fig 7: prefetching progressively more dependent loads (HJ-8)";
-  let rows = par ?sup ?jobs ?engine ~fig:"fig7" (fig7_core ()) in
+  let rows = par ?sup ~fig:"fig7" (fig7_core ()) in
   Format.fprintf fmt "  %-8s depth=1 depth=2 depth=3 depth=4@." "machine";
   List.iter2
     (fun machine speedups ->
@@ -346,9 +322,9 @@ let fig8_core () =
         Runner.cycles base + Runner.cycles manual ))
     (Benches.all ())
 
-let fig8 ?sup ?jobs ?engine () =
+let fig8 ?sup () =
   hr "Fig 8: % extra dynamic instructions, optimal scheme, Haswell";
-  let rows = par ?sup ?jobs ?engine ~fig:"fig8" (fig8_core ()) in
+  let rows = par ?sup ~fig:"fig8" (fig8_core ()) in
   List.iter
     (fun (id, extra) -> Format.fprintf fmt "  %-10s +%.0f%%@." id extra)
     rows
@@ -393,9 +369,9 @@ let fig9_core () =
       (m, m))
     configs
 
-let fig9 ?sup ?jobs ?engine () =
+let fig9 ?sup () =
   hr "Fig 9: IS multicore throughput on Haswell (shared DRAM)";
-  let makespans = par ?sup ?jobs ?engine ~fig:"fig9" (fig9_core ()) in
+  let makespans = par ?sup ~fig:"fig9" (fig9_core ()) in
   let base1, rest =
     match makespans with b :: rest -> (b, rest) | [] -> assert false
   in
@@ -431,9 +407,9 @@ let fig10_core ?provider () =
       ((b.id, small, huge), !acc))
     benches
 
-let fig10 ?sup ?jobs ?engine ?provider () =
+let fig10 ?sup ?provider () =
   hr "Fig 10: huge-page impact (auto, Haswell; speedup vs same page policy)";
-  let rows = par ?sup ?jobs ?engine ~fig:"fig10" (fig10_core ?provider ()) in
+  let rows = par ?sup ~fig:"fig10" (fig10_core ?provider ()) in
   Format.fprintf fmt "  %-10s %-12s %-12s@." "bench" "small-pages" "huge-pages";
   List.iter
     (fun (id, small, huge) ->
@@ -462,11 +438,9 @@ let ablation_split_core () =
         Runner.cycles base + Runner.cycles clamped + Runner.cycles split ))
     Machine.all
 
-let ablation_split ?sup ?jobs ?engine () =
+let ablation_split ?sup () =
   hr "Ablation: clamped prefetches vs loop splitting (IS, all machines)";
-  let rows =
-    par ?sup ?jobs ?engine ~fig:"ablation-split" (ablation_split_core ())
-  in
+  let rows = par ?sup ~fig:"ablation-split" (ablation_split_core ()) in
   List.iter2
     (fun machine (base, clamped, split) ->
       Format.fprintf fmt
@@ -500,12 +474,9 @@ let ablation_flat_offsets_core () =
       ))
     Machine.all
 
-let ablation_flat_offsets ?sup ?jobs ?engine () =
+let ablation_flat_offsets ?sup () =
   hr "Ablation: eq. 1 staggered offsets vs flat offsets (HJ-8, all machines)";
-  let rows =
-    par ?sup ?jobs ?engine ~fig:"ablation-flat"
-      (ablation_flat_offsets_core ())
-  in
+  let rows = par ?sup ~fig:"ablation-flat" (ablation_flat_offsets_core ()) in
   List.iter2
     (fun machine (staggered, flat) ->
       Format.fprintf fmt "  %-8s staggered=%5.2fx  flat(c=1)=%5.2fx@."
@@ -559,9 +530,9 @@ let distance_sweep_core (cs, machines, benches) =
         benches)
     machines
 
-let sweep_figure ?sup ?jobs ?engine ~fig ((cs, machines, benches) as spec) =
+let sweep_figure ?sup ~fig ((cs, machines, benches) as spec) =
   hr "Distance sweep: auto-pass speedup by look-ahead c (profile vs eq. 1)";
-  let rows = par ?sup ?jobs ?engine ~fig (distance_sweep_core spec) in
+  let rows = par ?sup ~fig (distance_sweep_core spec) in
   let nb = List.length benches in
   List.iteri
     (fun k (machine : Machine.t) ->
@@ -602,11 +573,11 @@ let sweep_figure ?sup ?jobs ?engine ~fig ((cs, machines, benches) as spec) =
         (Benches.geomean !adaptive_sp))
     machines
 
-let distance_sweep ?sup ?jobs ?engine () =
-  sweep_figure ?sup ?jobs ?engine ~fig:"distance-sweep" (distance_sweep_spec ())
+let distance_sweep ?sup () =
+  sweep_figure ?sup ~fig:"distance-sweep" (distance_sweep_spec ())
 
-let distance_smoke ?sup ?jobs ?engine () =
-  sweep_figure ?sup ?jobs ?engine ~fig:"distance-smoke" (distance_smoke_spec ())
+let distance_smoke ?sup () =
+  sweep_figure ?sup ~fig:"distance-smoke" (distance_smoke_spec ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -4,37 +4,25 @@
     approximate values read off the paper's charts.  EXPERIMENTS.md holds
     the paper-vs-measured narrative; DESIGN.md §3 the experiment index.
 
-    Every figure fans its independent cells out over {!Pool} with [jobs]
-    domains (default {!Pool.default_jobs}); results are collected in
+    Every figure runs its independent cells as one campaign of keyed
+    {!Supervisor} jobs ("<fig>/<index>") under [sup] (default
+    [Supervisor.options ()]), which carries the pool width, the engine,
+    and optionally a deadline, retries, a checkpoint journal and a crash
+    bundle root (docs/ROBUSTNESS.md).  Results are collected in
     submission order and printed serially, so the output is
-    byte-identical for every [jobs] value.  Passing [sup] instead runs
-    the cells as keyed {!Supervisor} jobs ("<fig>/<index>") under the
-    full supervision pipeline — deadlines, retry, engine fallback,
-    checkpoint/resume and crash bundles (docs/ROBUSTNESS.md) — with
-    byte-identical stdout, including on resume. *)
-
-exception Campaign_failed of int
-(** Raised by a supervised figure when cells failed permanently; carries
-    the failure count.  Failed cells have already been reported to
-    stderr (and bundled, when the supervisor has a bundle root), and
-    every other cell has completed and been checkpointed. *)
+    byte-identical for every [jobs] value, including on resume.  A cell
+    that fails permanently makes the figure raise
+    {!Supervisor.Campaign_failed} once every other cell has finished. *)
 
 val table1 : unit -> unit
 (** System setup for each processor evaluated (no simulations). *)
 
-val fig2 :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val fig2 : ?sup:Supervisor.options -> unit -> unit
 (** Manual prefetch schemes for IS on Haswell: intuitive / offset too
     small / offset too big / optimal. *)
 
 val fig4 :
   ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
   unit
@@ -44,89 +32,45 @@ val fig4 :
 
 val fig5 :
   ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
   unit
 (** Indirect-only vs indirect+stride prefetches (Haswell). *)
 
-val fig6 :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val fig6 : ?sup:Supervisor.options -> unit -> unit
 (** Speedup vs look-ahead distance c for IS/CG/RA/HJ-2 on all machines. *)
 
-val fig7 :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val fig7 : ?sup:Supervisor.options -> unit -> unit
 (** Prefetching progressively more dependent loads (HJ-8). *)
 
-val fig8 :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val fig8 : ?sup:Supervisor.options -> unit -> unit
 (** Percentage increase in dynamic instructions (Haswell, best scheme). *)
 
-val fig9 :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val fig9 : ?sup:Supervisor.options -> unit -> unit
 (** IS multicore throughput with a shared DRAM channel. *)
 
 val fig10 :
   ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
   ?provider:Spf_core.Distance.provider ->
   unit ->
   unit
 (** Huge-page impact on IS/RA/HJ-2 (Haswell). *)
 
-val distance_sweep :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val distance_sweep : ?sup:Supervisor.options -> unit -> unit
 (** The distance-provider acceptance figure, on Haswell and A53: a
     look-ahead × workload heatmap of auto-pass speedups over
     {!Profile_guided.candidates}, the per-workload profile pick (ties
     toward eq. 1's c = 64), the adaptive provider's speedup, and the
     geomeans of the static equation, the picks and the adaptive runs. *)
 
-val distance_smoke :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val distance_smoke : ?sup:Supervisor.options -> unit -> unit
 (** 4-cell {!distance_sweep} (IS and HJ-2 at c = 64 and 16 on Haswell) —
     the tier-1 [@distance-smoke] figure. *)
 
-val ablation_flat_offsets :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val ablation_flat_offsets : ?sup:Supervisor.options -> unit -> unit
 (** DESIGN.md §5 ablation: eq. 1 staggering vs flat offsets on HJ-8. *)
 
-val ablation_split :
-  ?sup:Supervisor.options ->
-  ?jobs:int ->
-  ?engine:Spf_sim.Engine.t ->
-  unit ->
-  unit
+val ablation_split : ?sup:Supervisor.options -> unit -> unit
 (** Clamped prefetches vs {!Spf_core.Split}'s peeled clamp-free main loop
     (ICC's hoisted checks, §6.1), on IS across all machines. *)
 

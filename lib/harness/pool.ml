@@ -1,9 +1,9 @@
 (* Fixed-size domain pool for embarrassingly-parallel simulation jobs.
 
    The evaluation grid (machine x benchmark x variant), the fuzz campaigns
-   and the bench harness all run many independent simulations; this pool
-   fans them out over OCaml 5 domains while keeping every observable
-   deterministic:
+   and the validation sweeps all run many independent jobs; this pool
+   (under {!Supervisor.run_jobs}) fans them out over OCaml 5 domains
+   while keeping every observable deterministic:
 
    - {e ordered collection}: results come back indexed by submission
      order, never by completion order, so callers can print byte-identical
@@ -53,15 +53,13 @@ let run ?jobs thunks =
       (Array.map (function Some r -> r | None -> assert false) results)
   end
 
-let map_result ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
-
 (* [map] keeps the serial contract (raise what a serial [List.map] would
    have raised first, i.e. the lowest-indexed failure) but no longer
    drops the other failures silently: they are logged to stderr before
    the first one is re-raised, so a multi-failure campaign leaves a
    trace of every broken job. *)
 let map ?jobs f xs =
-  let results = map_result ?jobs f xs in
+  let results = run ?jobs (List.map (fun x () -> f x) xs) in
   let first = ref None in
   List.iteri
     (fun i -> function

@@ -1,5 +1,6 @@
 (** Fixed-size domain pool with deterministic, submission-ordered result
-    collection (the substrate of every [-j]/[--jobs] flag in the repo).
+    collection: the substrate under {!Supervisor.run_jobs}, and so under
+    every [-j]/[--jobs] flag in the repo.
 
     Jobs must be self-contained: they may not share mutable state with
     each other or with the submitting domain.  All simulator state in this
@@ -17,15 +18,10 @@ val run : ?jobs:int -> (unit -> 'a) list -> ('a, exn) result list
     regardless of completion order.  A raising job yields [Error exn] in
     its own slot; the other jobs still run. *)
 
-val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** [map_result ~jobs f xs] fans [f] over the pool and returns every
-    element's outcome in input order — no failure is ever dropped.  The
-    building block for supervised execution ({!Supervisor}). *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs] fanned out over the pool, with
     results in input order.  If any application raised, re-raises the
     exception of the {e lowest-indexed} failing element — the same
     exception a serial [List.map] would have thrown first — after
-    logging every {e other} failure to stderr (use {!map_result} to
-    handle them programmatically). *)
+    logging every {e other} failure to stderr (use {!run} to handle
+    them programmatically). *)

@@ -2,12 +2,13 @@ module Engine = Spf_sim.Engine
 module S = Spf_sim.Exec_state
 module Stats = Spf_sim.Stats
 
-(* Supervised campaign execution on top of {!Pool}.
+(* Campaign execution on top of {!Pool}.
 
    The paper's evaluation is a matrix of long-running simulations; at
    campaign scale a single hung job, OOM-killed domain or mid-run crash
-   must not cost the whole run.  This module wraps a list of keyed jobs
-   with the full supervision pipeline:
+   must not cost the whole run.  Every campaign (figures, fuzz,
+   validation sweeps, serve batches) hands its keyed jobs to this
+   module, which runs each through one pipeline:
 
      deadline -> retry -> engine fallback -> crash bundle
 
@@ -27,18 +28,21 @@ module Stats = Spf_sim.Stats
      bit-identical, so the campaign's numbers are unaffected; the
      degradation is reported as a note, not a failure, and does not
      consume a retry.
-   - {e checkpointing}: with a {!Journal}, each completed job's encoded
-     result is durably appended by the worker the moment it completes,
-     and already-journaled jobs are skipped entirely on resume — the
-     decoded payload stands in for the run, byte-identical.
+   - {e checkpointing}: with a {!Journal}, each completed job's result
+     is durably appended as its Marshal image by the worker the moment it
+     completes, and already-journaled jobs are skipped entirely on resume
+     — the unmarshalled payload stands in for the run, byte-identical
+     (Marshal round-trips floats and records bit-exactly, and the
+     journal's identity line pins the build, hence the payload's type).
+     Without a journal nothing is serialized.
    - {e crash bundles}: a permanently-failed job is captured as a
      self-contained {!Bundle} (metadata, printed IR, reproduction
      payload from the job's [binfo] callback, stats-so-far for
      timeouts), replayable via [spf replay].
 
    All supervision chatter goes through the caller (notes and failures in
-   the returned list) or stderr — never stdout — so a supervised
-   campaign's stdout stays byte-identical to a raw run. *)
+   the returned list) or stderr — never stdout — so a campaign's stdout
+   is byte-identical at every [jobs], across retries and resumes. *)
 
 (* --- failure classification -------------------------------------------- *)
 
@@ -103,7 +107,7 @@ let options ?(policy = default_policy) ?jobs ?engine ?journal ?bundle_root
   { policy; jobs; engine; journal; bundle_root; sleep }
 
 let bundle_root opts = opts.bundle_root
-let journal opts = opts.journal
+let engine opts = opts.engine
 
 (* --- jobs and outcomes -------------------------------------------------- *)
 
@@ -159,7 +163,7 @@ let pp_failure fmt (f : failure) =
 
 (* --- the supervised run ------------------------------------------------- *)
 
-let run_jobs opts ~encode ~decode jobs =
+let run_jobs opts jobs =
   let jobs_arr = Array.of_list jobs in
   let write_bundle (job : 'a job) exn ~cls ~attempts ~notes =
     match opts.bundle_root with
@@ -203,9 +207,9 @@ let run_jobs opts ~encode ~decode jobs =
     let job = jobs_arr.(i) in
     match Option.bind opts.journal (fun j -> Journal.find j job.key) with
     | Some payload -> (
-        match decode payload with
-        | Some v -> Ok { value = v; notes = []; resumed = true }
-        | None ->
+        match Marshal.from_string payload 0 with
+        | v -> Ok { value = v; notes = []; resumed = true }
+        | exception _ ->
             failwith
               (Printf.sprintf
                  "checkpointed payload for %s does not decode (journal from \
@@ -227,7 +231,9 @@ let run_jobs opts ~encode ~decode jobs =
           match job.work ctx with
           | v ->
               Option.iter
-                (fun j -> Journal.record j ~key:job.key ~payload:(encode v))
+                (fun j ->
+                  Journal.record j ~key:job.key
+                    ~payload:(Marshal.to_string v []))
                 opts.journal;
               Ok { value = v; notes = List.rev !notes; resumed = false }
           | exception exn -> (
@@ -280,21 +286,23 @@ let run_jobs opts ~encode ~decode jobs =
   Pool.map ?jobs:opts.jobs attempt_jobs
     (List.init (Array.length jobs_arr) Fun.id)
 
-(* Pretty-print the supervision epilogue (notes + failures) to stderr and
-   split the outcomes; the common tail of every supervised campaign. *)
+(* Print the supervision epilogue (notes + failures) to stderr; the
+   common tail of every campaign. *)
 let report_stderr results =
-  let ok = ref [] and failed = ref [] in
   List.iter
-    (fun r ->
-      match r with
+    (function
       | Ok (o : 'a outcome) ->
           List.iter
-            (fun note ->
-              Format.eprintf "supervisor: %s@." (note_to_string note))
-            o.notes;
-          ok := o :: !ok
-      | Error f ->
-          Format.eprintf "supervisor: %a@." pp_failure f;
-          failed := f :: !failed)
-    results;
-  (List.rev !ok, List.rev !failed)
+            (fun n -> Format.eprintf "supervisor: %s@." (note_to_string n))
+            o.notes
+      | Error f -> Format.eprintf "supervisor: %a@." pp_failure f)
+    results
+
+exception Campaign_failed of int
+
+let run_campaign opts jobs =
+  let results = run_jobs opts jobs in
+  report_stderr results;
+  match List.length (List.filter Result.is_error results) with
+  | 0 -> List.map (function Ok o -> o.value | Error _ -> assert false) results
+  | failed -> raise (Campaign_failed failed)

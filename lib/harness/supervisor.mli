@@ -1,9 +1,11 @@
-(** Supervised campaign execution on top of {!Pool}: per-job wall-clock
-    deadlines (carried by each attempt's cooperative cancellation token
-    and checked at the engines' poll points), bounded retry
-    with exponential backoff, graceful engine degradation, durable
-    checkpointing through {!Journal}, and {!Bundle} capture of permanent
-    failures.  See docs/ROBUSTNESS.md for the model. *)
+(** Campaign execution on top of {!Pool}: every figure, fuzz and
+    validation campaign runs its keyed jobs through {!run_jobs}, with
+    per-job wall-clock deadlines (carried by each attempt's cooperative
+    cancellation token and checked at the engines' poll points), bounded
+    retry with exponential backoff, graceful engine degradation, and —
+    when the options carry them — durable checkpointing through
+    {!Journal} and {!Bundle} capture of permanent failures.  See
+    docs/ROBUSTNESS.md for the model. *)
 
 (** {1 Failure classification} *)
 
@@ -50,17 +52,20 @@ val options :
   ?sleep:(float -> unit) ->
   unit ->
   options
-(** [jobs]/[engine] as in the unsupervised harness entry points;
-    [journal] enables checkpoint/resume; [bundle_root] enables crash
-    bundles.  [sleep] is injectable so tests can observe backoff without
-    waiting for it. *)
+(** [jobs] is the pool width (default {!Pool.default_jobs}); [engine]
+    the simulator engine each job's ctx starts on (default
+    {!Spf_sim.Engine.default}); [journal] enables checkpoint/resume;
+    [bundle_root] enables crash bundles.  [sleep] is injectable so tests
+    can observe backoff without waiting for it. *)
 
 val bundle_root : options -> string option
 (** Campaigns that detect non-exceptional failures (e.g. fuzz
     divergences, which are results, not crashes) write their own bundles
     under the same root. *)
 
-val journal : options -> Journal.t option
+val engine : options -> Spf_sim.Engine.t option
+(** The engine jobs start on; a fuzz campaign's concrete oracle runs on
+    it, and its bundles record it. *)
 
 (** {1 Jobs and outcomes} *)
 
@@ -104,23 +109,29 @@ type failure = {
 
 val pp_failure : Format.formatter -> failure -> unit
 
-val run_jobs :
-  options ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
-  'a job list ->
-  ('a outcome, failure) result list
+val run_jobs : options -> 'a job list -> ('a outcome, failure) result list
 (** Run every job under the supervision pipeline
     (deadline -> retry -> fallback -> bundle), in submission order.  Each
     attempt's ctx carries a fresh token expiring [policy.deadline_s]
     after the attempt starts (never, without a deadline); the job stops at
-    its first cancellation poll past it.  No thread is started.
-    [encode]/[decode] serialize results for the journal; they must
-    round-trip exactly for resumed output to be byte-identical.
+    its first cancellation poll past it.  No thread is started.  With a
+    journal, each result is recorded as its Marshal image, and a
+    journaled job is not run: its recorded value stands in for it,
+    byte-identical (the journal's identity line pins the build, hence
+    the payload's type).  Without a journal no result is serialized.
 
     @raise Failure if a journaled payload no longer decodes. *)
 
-val report_stderr :
-  ('a outcome, failure) result list -> 'a outcome list * failure list
-(** Print every note and failure to stderr (never stdout — supervised
-    campaign stdout stays byte-identical) and split the results. *)
+val report_stderr : ('a outcome, failure) result list -> unit
+(** Print every note and failure to stderr (never stdout — campaign
+    stdout stays byte-identical across [jobs], retries and resumes). *)
+
+exception Campaign_failed of int
+(** Jobs of a campaign failed permanently; carries the count.  Every
+    failure has been reported to stderr (and bundled, with a bundle
+    root), and every other job has completed (and been checkpointed,
+    with a journal). *)
+
+val run_campaign : options -> 'a job list -> 'a list
+(** {!run_jobs}, then {!report_stderr}; the values in submission order.
+    @raise Campaign_failed when any job failed permanently. *)

@@ -185,15 +185,10 @@ let run_batch t batch =
         })
       batch
   in
-  (* The supervisor's journal hooks are unused here: the serve-side
-     journal lives inside Rcache, which records results as they are
-     inserted on the pool domains. *)
-  match
-    Supervisor.run_jobs opts
-      ~encode:(fun _ -> "")
-      ~decode:(fun _ -> None)
-      jobs
-  with
+  (* No supervisor journal here: the serve-side journal lives inside
+     Rcache, which records results as they are inserted on the pool
+     domains. *)
+  match Supervisor.run_jobs opts jobs with
   | exception exn ->
       (* A batch-level failure must not leave handlers blocked on
          unfilled cells: every request in it gets a classified reply.

@@ -86,35 +86,11 @@ let golden_pairs () =
   List.map (fun id -> (bench id, `Auto)) [ "IS"; "CG"; "RA"; "HJ-2"; "HJ-8" ]
   @ [ (bench "HJ-8", `Manual) ]
 
-let check_golden ?cancel ?config () =
-  List.map
-    (fun ((b : Benches.bench), variant) ->
-      let orig = (b.Benches.plain ()).Workload.func in
-      let xform, vname =
-        match variant with
-        | `Auto -> ((Benches.auto ?config (b.Benches.plain ())).Workload.func, "auto")
-        | `Manual ->
-            ( (b.Benches.manual ~machine:Spf_sim.Machine.haswell ~c:None)
-                .Workload.func,
-              "manual" )
-      in
-      let env =
-        {
-          Model.fresh =
-            (fun () ->
-              let w = b.Benches.plain () in
-              (w.Workload.mem, w.Workload.args));
-          fuel = golden_fuel;
-        }
-      in
-      (b.Benches.id ^ "/" ^ vname, check ?cancel ~env ~orig ~xform ()))
-    (golden_pairs ())
-
 (* ------------------------------------------------------------------ *)
-(* Corpus batch mode                                                   *)
+(* Sweeps: the golden suite and corpus batch mode                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Compact, journal-able per-file result for supervised sweeps. *)
+(* Compact, journal-able per-row result of a sweep. *)
 type status =
   | S_proved of { paths : int; obligations : int }
   | S_refuted of string
@@ -133,64 +109,89 @@ let status_to_string = function
   | S_refuted d -> "REFUTED: " ^ d
   | S_gave_up r -> "gave up: " ^ r
 
+(* A sweep row's keyed job: [check] runs under the job's cancellation
+   token. *)
+let job ~key ?binfo check =
+  {
+    Supervisor.key;
+    work =
+      (fun (ctx : Runner.ctx) -> status_of_outcome (check ctx.Runner.cancel));
+    binfo;
+  }
+
+(* One sweep over named rows, run as one campaign.  A job that fails (a
+   crash, a deadline past its retries, a file that does not parse) is
+   reported to stderr like any campaign failure and becomes a give-up
+   row carrying its reason, rather than poisoning the sweep. *)
+let sweep ?(sup = Supervisor.options ()) rows =
+  let results = Supervisor.run_jobs sup (List.map snd rows) in
+  Supervisor.report_stderr results;
+  List.map2
+    (fun (name, _) r ->
+      match r with
+      | Ok (o : status Supervisor.outcome) -> (name, o.Supervisor.value)
+      | Error (f : Supervisor.failure) ->
+          ( name,
+            S_gave_up
+              (Printf.sprintf "supervision: %s after %d attempt(s): %s"
+                 (Supervisor.classification_to_string f.Supervisor.f_class)
+                 f.Supervisor.f_attempts
+                 (Printexc.to_string f.Supervisor.f_exn)) ))
+    rows results
+
+let check_golden ?config ?sup () =
+  sweep ?sup
+    (List.map
+       (fun ((b : Benches.bench), variant) ->
+         let name =
+           b.Benches.id ^ "/"
+           ^ match variant with `Auto -> "auto" | `Manual -> "manual"
+         in
+         ( name,
+           job ~key:("validate/" ^ name) (fun cancel ->
+               let orig = (b.Benches.plain ()).Workload.func in
+               let xform =
+                 match variant with
+                 | `Auto ->
+                     (Benches.auto ?config (b.Benches.plain ())).Workload.func
+                 | `Manual ->
+                     (b.Benches.manual ~machine:Spf_sim.Machine.haswell
+                        ~c:None)
+                       .Workload.func
+               in
+               let env =
+                 {
+                   Model.fresh =
+                     (fun () ->
+                       let w = b.Benches.plain () in
+                       (w.Workload.mem, w.Workload.args));
+                   fuel = golden_fuel;
+                 }
+               in
+               check ?cancel ~env ~orig ~xform ()) ))
+       (golden_pairs ()))
+
 let corpus_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".case")
   |> List.sort Stdlib.compare
   |> List.map (Filename.concat dir)
 
-let encode_status (s : status) = Marshal.to_string s []
-
-let decode_status s =
-  try Some (Marshal.from_string s 0 : status) with _ -> None
-
-(* Sweep every [*.case] file under [dir].  With [supervise], each file is
-   a supervised job ("validate/<file>"): a case whose proof search hangs
-   past the deadline (or crashes) is classified as a give-up rather than
-   poisoning the sweep, and completed files checkpoint/resume through the
-   journal. *)
-let check_corpus ?config ?supervise dir : (string * status) list =
-  let files = corpus_files dir in
-  match supervise with
-  | None ->
-      List.map
-        (fun f -> (f, status_of_outcome (check_case ?config (Case.load f))))
-        files
-  | Some opts ->
-      let jobs =
-        List.map
-          (fun f ->
-            {
-              Supervisor.key = "validate/" ^ Filename.basename f;
-              work =
-                (fun (ctx : Runner.ctx) ->
-                  status_of_outcome
-                    (check_case ?cancel:ctx.Runner.cancel ?config
-                       (Case.load f)));
-              binfo =
-                Some
-                  (fun _exn ->
-                    {
-                      Supervisor.b_meta =
-                        [ ("kind", "validate-case"); ("file", f) ];
-                      b_ir = Some (Spf_ir.Printer.func_to_string (Case.load f).Case.func);
-                      b_payload = None;
-                    });
-            })
-          files
-      in
-      let results =
-        Supervisor.run_jobs opts ~encode:encode_status ~decode:decode_status
-          jobs
-      in
-      List.map2
-        (fun f r ->
-          match r with
-          | Ok (o : status Supervisor.outcome) -> (f, o.Supervisor.value)
-          | Error (fl : Supervisor.failure) ->
-              ( f,
-                S_gave_up
-                  (Printf.sprintf "supervision: %s after %d attempt(s)"
-                     (Supervisor.classification_to_string fl.Supervisor.f_class)
-                     fl.Supervisor.f_attempts) ))
-        files results
+let check_corpus ?config ?sup dir =
+  sweep ?sup
+    (List.map
+       (fun f ->
+         let binfo _exn =
+           {
+             Supervisor.b_meta = [ ("kind", "validate-case"); ("file", f) ];
+             b_ir =
+               (match Case.load f with
+               | c -> Some (Spf_ir.Printer.func_to_string c.Case.func)
+               | exception _ -> None);
+             b_payload = None;
+           }
+         in
+         ( f,
+           job ~key:("validate/" ^ Filename.basename f) ~binfo (fun cancel ->
+               check_case ?cancel ?config (Case.load f)) ))
+       (corpus_files dir))

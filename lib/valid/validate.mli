@@ -1,8 +1,9 @@
 (** Translation validation: proof-or-counterexample for one (program,
-    transformed program) pair, and batch drivers over the golden suite
-    and the checked-in corpus ([spf validate]).  A failed symbolic check
-    must be confirmed by the concrete interpreter before it is reported
-    [Refuted]; an unconfirmed failure is a [Gave_up]. *)
+    transformed program) pair, and sweeps over the golden suite or a
+    corpus directory, each run as one {!Spf_harness.Supervisor} campaign
+    ([spf validate]).  A failed symbolic check must be confirmed by the
+    concrete interpreter before it is reported [Refuted]; an unconfirmed
+    failure is a [Gave_up]. *)
 
 type outcome =
   | Proved of { paths : int; obligations : int }
@@ -44,15 +45,18 @@ val golden_pairs : unit -> (Spf_harness.Benches.bench * [ `Auto | `Manual ]) lis
     and HJ-8 under the automatic pass, plus the one manual scheme the
     suite pins (HJ-8). *)
 
-val check_golden :
-  ?cancel:Spf_sim.Exec_state.cancel ->
-  ?config:Spf_core.Config.t ->
-  unit ->
-  (string * outcome) list
+(** {1 Sweeps}
 
-(** {1 Corpus batch mode} *)
+    [--golden] and [--corpus] are one kind of sweep: named rows, each a
+    keyed {!Spf_harness.Supervisor} job ("validate/<row>") run under [sup]
+    (default [Supervisor.options ()]) — pool width, deadline, retries,
+    checkpoint/resume and crash bundles as the options ask.  Rows come
+    back in order.  A job that fails (crashes, runs past its deadline and
+    retries, or reads a file that does not parse) is reported to stderr
+    and becomes a give-up row naming its class, its attempts and the
+    exception, instead of poisoning the sweep. *)
 
-(** Compact, journal-able per-file result for supervised sweeps. *)
+(** Compact, journal-able per-row result. *)
 type status =
   | S_proved of { paths : int; obligations : int }
   | S_refuted of string
@@ -61,19 +65,19 @@ type status =
 val status_of_outcome : outcome -> status
 val status_to_string : status -> string
 
-val corpus_files : string -> string list
-(** The [*.case] files under a directory, sorted. *)
-
-val encode_status : status -> string
-val decode_status : string -> status option
+val check_golden :
+  ?config:Spf_core.Config.t ->
+  ?sup:Spf_harness.Supervisor.options ->
+  unit ->
+  (string * status) list
+(** One row per {!golden_pairs} entry, named ["<bench>/auto"] or
+    ["<bench>/manual"]. *)
 
 val check_corpus :
   ?config:Spf_core.Config.t ->
-  ?supervise:Spf_harness.Supervisor.options ->
+  ?sup:Spf_harness.Supervisor.options ->
   string ->
   (string * status) list
-(** Validate every [*.case] file under the directory.  With [supervise],
-    each file is a supervised job ("validate/<file>"): a proof search
-    that hangs past the deadline or crashes is classified as a give-up
-    rather than poisoning the sweep, and completed files
-    checkpoint/resume through the journal. *)
+(** One row per [*.case] file under the directory, sorted, named by its
+    path.
+    @raise Sys_error if the directory cannot be read. *)

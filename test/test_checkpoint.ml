@@ -158,23 +158,32 @@ let test_bundle_roundtrip () =
 
 let summary = Alcotest.testable Driver.pp_summary ( = )
 
-let opts ?policy ?(bundles = false) dir campaign =
+let opts ?policy ?engine ?(bundles = false) dir campaign =
   let journal = Journal.start ~dir ~campaign in
   let bundle_root =
     if bundles then Some (Filename.concat dir "bundles") else None
   in
-  Sup.options ?policy ?bundle_root ~journal ()
+  Sup.options ?policy ?engine ?bundle_root ~journal ()
 
 let test_supervised_matches_raw () =
-  (* Supervision is an execution wrapper: the campaign result must be
-     exactly what the unsupervised driver produces. *)
+  (* The journal is a checkpoint, not a semantics change: a journaled
+     campaign's result must be exactly what a plain run produces. *)
   let raw = Driver.run ~seed:11 ~count:25 () in
   let sup =
     Driver.run ~seed:11 ~count:25
-      ~supervise:(opts (fresh_dir ()) "fuzz seed=11 count=25")
+      ~sup:(opts (fresh_dir ()) "fuzz seed=11 count=25")
       ()
   in
   Alcotest.check summary "supervised == raw" raw sup
+
+(* With no journal, no bundles and no flags, a crashing case still goes
+   through the supervisor: the campaign fails with the count, rather
+   than the exception escaping or the fault being ignored. *)
+let test_plain_crash_fails_campaign () =
+  match Driver.run ~seed:11 ~count:25 ~inject:(5, Driver.Crash) () with
+  | _ -> Alcotest.fail "injected crash must fail the campaign"
+  | exception Sup.Campaign_failed n ->
+      Alcotest.(check int) "exactly the injected case failed" 1 n
 
 let test_crash_then_resume_matches_raw () =
   let dir = fresh_dir () in
@@ -184,24 +193,31 @@ let test_crash_then_resume_matches_raw () =
      a bundle, and a journal holding every other case. *)
   (match
      Driver.run ~seed:11 ~count:25 ~inject:(5, Driver.Crash)
-       ~supervise:(opts ~bundles:true dir campaign)
+       ~sup:(opts ~engine:Spf_sim.Engine.Interp ~bundles:true dir campaign)
        ()
    with
   | _ -> Alcotest.fail "injected crash must make the campaign incomplete"
-  | exception Driver.Campaign_incomplete n ->
+  | exception Sup.Campaign_failed n ->
       Alcotest.(check int) "exactly the injected case failed" 1 n);
   let bundle_dir = Filename.concat (Filename.concat dir "bundles") "case-5" in
   let b = Bundle.read bundle_dir in
   Alcotest.(check (option string))
     "bundle records the crash class" (Some "deterministic")
     (Bundle.meta_value b "class");
+  (* The campaign's engine reaches the recorded oracle mode, so replay
+     re-runs the case on the engine it crashed on. *)
+  Alcotest.(check (option string))
+    "bundle records the campaign's oracle" (Some "concrete:interp")
+    (Bundle.meta_value b "oracle");
   let j = Journal.start ~dir ~campaign in
   Alcotest.(check int)
     "all other cases are checkpointed" 24 (Journal.completed j);
   (* Resume without the fault: only case 5 re-runs, and the summary is
      byte-identical to an uninterrupted run. *)
   let resumed =
-    Driver.run ~seed:11 ~count:25 ~supervise:(opts dir campaign) ()
+    Driver.run ~seed:11 ~count:25
+      ~sup:(opts ~engine:Spf_sim.Engine.Interp dir campaign)
+      ()
   in
   Alcotest.check summary "resumed == raw" raw resumed;
   (* The replayed bundle no longer crashes (the fault was injected), so
@@ -217,8 +233,6 @@ let test_kill_mid_campaign_resume () =
      substituted (resumed = true) and never re-executed. *)
   let dir = fresh_dir () in
   let campaign = "ints" in
-  let encode (v : int) = Marshal.to_string v []
-  and decode s = try Some (Marshal.from_string s 0 : int) with _ -> None in
   let executions = Array.make 6 0 in
   let job i =
     {
@@ -230,15 +244,10 @@ let test_kill_mid_campaign_resume () =
       binfo = None;
     }
   in
-  let first =
-    Sup.run_jobs
-      (opts dir campaign)
-      ~encode ~decode
-      (List.init 3 job)
-  in
+  let first = Sup.run_jobs (opts dir campaign) (List.init 3 job) in
   Alcotest.(check int) "prefix all succeeded" 3 (List.length first);
   let second =
-    Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 6 job)
+    Sup.run_jobs (opts dir campaign) (List.init 6 job)
   in
   let values, resumed_flags =
     List.split
@@ -267,8 +276,6 @@ let test_torn_record_resume () =
      uninterrupted run. *)
   let dir = fresh_dir () in
   let campaign = "ints" in
-  let encode (v : int) = Marshal.to_string v []
-  and decode s = try Some (Marshal.from_string s 0 : int) with _ -> None in
   let executions = Array.make 4 0 in
   let job i =
     {
@@ -280,7 +287,7 @@ let test_torn_record_resume () =
       binfo = None;
     }
   in
-  ignore (Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 4 job));
+  ignore (Sup.run_jobs (opts dir campaign) (List.init 4 job));
   let path = Filename.concat dir "journal" in
   let contents = read_back path in
   (* Workers append in completion order; the last line's key is the cell
@@ -291,7 +298,7 @@ let test_torn_record_resume () =
   in
   write_file path (String.sub contents 0 (String.length contents - 5));
   let second =
-    Sup.run_jobs (opts dir campaign) ~encode ~decode (List.init 4 job)
+    Sup.run_jobs (opts dir campaign) (List.init 4 job)
   in
   let keys = List.init 4 (Printf.sprintf "cell/%d") in
   Alcotest.(check (list int))
@@ -348,6 +355,8 @@ let suite =
       test_bundle_roundtrip;
     Alcotest.test_case "supervised fuzz summary equals raw" `Quick
       test_supervised_matches_raw;
+    Alcotest.test_case "plain campaign crash fails the campaign" `Quick
+      test_plain_crash_fails_campaign;
     Alcotest.test_case "crash -> bundle -> resume -> identical summary"
       `Quick test_crash_then_resume_matches_raw;
     Alcotest.test_case "kill after N cells, resume skips them" `Quick

@@ -1,4 +1,5 @@
 module Pool = Spf_harness.Pool
+module Sup = Spf_harness.Supervisor
 module Driver = Spf_fuzz.Driver
 
 (* The domain pool (PERFORMANCE.md): submission-ordered collection,
@@ -68,7 +69,7 @@ let test_fuzz_campaign_deterministic_across_jobs () =
   (* The ISSUE's headline determinism guarantee: a 4-domain campaign
      produces an identical summary (counters and ordered failure list) to
      a serial one on the same seed. *)
-  let run jobs = Driver.run ~seed:7 ~jobs ~count:60 () in
+  let run jobs = Driver.run ~seed:7 ~sup:(Sup.options ~jobs ()) ~count:60 () in
   let serial = run 1 and parallel = run 4 in
   Alcotest.(check bool)
     "j=4 summary equals j=1 summary" true

@@ -8,11 +8,8 @@ module Is = Spf_workloads.Is
    bounded exponential backoff, deadlines carried by the cooperative
    cancellation token, and graceful engine degradation. *)
 
-let encode (v : int) = Marshal.to_string v []
-let decode s = try Some (Marshal.from_string s 0 : int) with _ -> None
-
 let run_jobs ?policy ?engine ?sleep jobs =
-  Sup.run_jobs (Sup.options ?policy ?engine ?sleep ()) ~encode ~decode jobs
+  Sup.run_jobs (Sup.options ?policy ?engine ?sleep ()) jobs
 
 let job ?binfo key work = { Sup.key; work; binfo }
 
@@ -181,15 +178,7 @@ let test_engine_fallback_identical_stats () =
     | _ -> raise (Spf_sim.Tape.Decode_error "synthetic decode failure")
   in
   let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
-  let rencode (r : Runner.result) = Marshal.to_string r [] in
-  let rdecode s =
-    try Some (Marshal.from_string s 0 : Runner.result) with _ -> None
-  in
-  match
-    Sup.run_jobs
-      (Sup.options ~engine:Engine.Tape ())
-      ~encode:rencode ~decode:rdecode jobs
-  with
+  match Sup.run_jobs (Sup.options ~engine:Engine.Tape ()) jobs with
   | [ Ok o ] ->
       let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
       Alcotest.(check bool)
@@ -226,15 +215,7 @@ let test_fallback_chain_tape_to_interp () =
     e :: (match Engine.fallback e with Some n -> chain n | None -> [])
   in
   let jobs = [ { Sup.key = "t/0"; work; binfo = None } ] in
-  let rencode (r : Runner.result) = Marshal.to_string r [] in
-  let rdecode s =
-    try Some (Marshal.from_string s 0 : Runner.result) with _ -> None
-  in
-  match
-    Sup.run_jobs
-      (Sup.options ~engine:Engine.Tape ())
-      ~encode:rencode ~decode:rdecode jobs
-  with
+  match Sup.run_jobs (Sup.options ~engine:Engine.Tape ()) jobs with
   | [ Ok o ] ->
       let direct = run_is (Runner.ctx_of_engine (Some Engine.Interp)) in
       let want = chain Engine.Tape in

@@ -176,11 +176,50 @@ let test_golden_spot_check () =
   let results = Validate.check_golden () in
   Alcotest.(check bool) "has results" true (List.length results >= 6);
   List.iter
-    (fun (name, o) ->
-      match o with
-      | Validate.Proved _ -> ()
-      | _ -> Alcotest.failf "%s: %s" name (Validate.outcome_to_string o))
+    (fun (name, st) ->
+      match st with
+      | Validate.S_proved _ -> ()
+      | _ -> Alcotest.failf "%s: %s" name (Validate.status_to_string st))
     results
+
+(* A corpus sweep keeps going past a file that does not parse: that row
+   gives up with the parse error as its reason, and the good file's row
+   is exactly what checking it directly gives. *)
+let test_corpus_bad_file_gives_up () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "spf-corpus-test-%d" (Unix.getpid ()))
+  in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  Sys.mkdir dir 0o755;
+  let bad = Filename.concat dir "a.case"
+  and good = Filename.concat dir "b.case" in
+  let oc = open_out bad in
+  output_string oc "garbage\n";
+  close_out oc;
+  let b = Gen.build spec in
+  Case.save good
+    (Case.of_concrete ~func:b.Gen.func ~mem:b.Gen.mem ~args:b.Gen.args
+       ~fuel:(Gen.fuel spec));
+  let rows =
+    List.map
+      (fun (name, st) -> (name, Validate.status_to_string st))
+      (Validate.check_corpus dir)
+  in
+  let direct =
+    Validate.status_of_outcome (Validate.check_case (Case.load good))
+  in
+  Alcotest.(check (list (pair string string)))
+    "both rows, in order"
+    [
+      ( bad,
+        "gave up: supervision: deterministic after 1 attempt(s): \
+         Spf_ir.Parser.Parse_error(1, \"instruction outside any block\")" );
+      (good, Validate.status_to_string direct);
+    ]
+    rows;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 let suite =
   [
@@ -196,4 +235,6 @@ let suite =
     Alcotest.test_case "replay rejects unknown oracle modes" `Quick
       test_replay_rejects_unknown_mode;
     Alcotest.test_case "golden pairs all prove" `Slow test_golden_spot_check;
+    Alcotest.test_case "corpus sweep: unparsable file gives up" `Quick
+      test_corpus_bad_file_gives_up;
   ]
