@@ -401,32 +401,15 @@ let campaign_exit ~what ~noun ~resume f =
 
 let fig_cmd =
   let doc = "Regenerate a figure/table from the paper's evaluation." in
-  let figs sup provider : (string * (unit -> unit)) list =
-    [
-      ("table1", Figures.table1);
-      ("fig2", Figures.fig2 ~sup);
-      ("fig4", Figures.fig4 ~sup ?provider);
-      ("fig5", Figures.fig5 ~sup ?provider);
-      ("fig6", Figures.fig6 ~sup);
-      ("fig7", Figures.fig7 ~sup);
-      ("fig8", Figures.fig8 ~sup);
-      ("fig9", Figures.fig9 ~sup);
-      ("fig10", Figures.fig10 ~sup ?provider);
-      ("ablation", Figures.ablation_flat_offsets ~sup);
-      ("ablation-split", Figures.ablation_split ~sup);
-      ("distance-sweep", Figures.distance_sweep ~sup);
-      ("distance-smoke", Figures.distance_smoke ~sup);
-    ]
-  in
   let run which jobs engine resume deadline retries pkind =
     (* Providers needing per-program inputs (fixed's loop headers, a
        profile file measured for one benchmark) cannot apply across a
        whole figure grid; [spf run] is their consumption path. *)
     let provider =
       match pkind with
-      | None | Some `Static -> None
+      | None | Some `Static -> Spf_core.Distance.Static
       | Some `Adaptive ->
-          Some (Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive)
+          Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive
       | Some (`Fixed | `Profile) ->
           die
             "spf fig: --distance-provider=%s needs per-program inputs \
@@ -434,25 +417,25 @@ let fig_cmd =
              static or adaptive — use spf run for per-program providers"
             (match pkind with Some `Fixed -> "fixed" | _ -> "profile")
     in
+    let figs =
+      if which = "all" then Figures.table
+      else
+        match List.find_opt (fun f -> Figures.name f = which) Figures.table with
+        | Some f -> [ f ]
+        | None ->
+            die "unknown figure %S; known: all %s" which
+              (String.concat " " (List.map Figures.name Figures.table))
+    in
     let campaign =
       Printf.sprintf "fig %s engine=%s provider=%s" which
         (Spf_sim.Engine.to_string engine)
-        (match provider with
-        | None -> "static"
-        | Some p -> Spf_core.Distance.kind p)
+        (Spf_core.Distance.kind provider)
     in
     let sup =
       supervision ~campaign ~jobs ~engine ~resume ~deadline ~retries
     in
-    let figs = figs sup provider in
     campaign_exit ~what:("fig " ^ which) ~noun:"cell" ~resume (fun () ->
-        if which = "all" then List.iter (fun (_, f) -> f ()) figs
-        else
-          match List.assoc_opt which figs with
-          | Some f -> f ()
-          | None ->
-              die "unknown figure %S; known: all %s" which
-                (String.concat " " (List.map fst figs)))
+        List.iter (fun f -> ignore (Figures.run sup ~provider f)) figs)
   in
   Cmd.v
     (Cmd.info "fig" ~doc)
@@ -594,34 +577,25 @@ let fuzz_cmd =
       & info [ "shrink" ]
           ~doc:"Greedily shrink failing cases to minimal reproducers.")
   in
-  let cross_engine_arg =
-    Arg.(
-      value & flag
-      & info [ "cross-engine" ]
-          ~doc:
-            "Differentially compare the simulator engines instead: every \
-             generated program (plain and transformed) runs under \
-             $(b,interp) and $(b,tape), which must agree on the outcome \
-             and on every stats counter, cycles included; a divergence \
-             names the first differing counter.")
-  in
   let oracle_arg =
     Arg.(
       value
       & opt
-          (some
-             (enum
-                [
-                  ("concrete", `Concrete);
-                  ("cross-engine", `Cross);
-                  ("symbolic", `Symbolic);
-                ]))
-          None
+          (enum
+             [
+               ("concrete", `Concrete);
+               ("cross-engine", `Cross);
+               ("symbolic", `Symbolic);
+             ])
+          `Concrete
       & info [ "oracle" ] ~docv:"MODE"
           ~doc:
             "Oracle mode: $(b,concrete) (the default differential run), \
-             $(b,cross-engine) (same as $(b,--cross-engine)), or \
-             $(b,symbolic) — the concrete run backed by a \
+             $(b,cross-engine) (every generated program, plain and \
+             transformed, runs under $(b,interp) and $(b,tape), which must \
+             agree on the outcome and on every stats counter, cycles \
+             included; a divergence names the first differing counter), \
+             or $(b,symbolic) — the concrete run backed by a \
              translation-validation proof over all environments.  \
              Symbolic counterexamples shrink and bundle exactly like \
              concrete divergences; cases the validator can neither prove \
@@ -647,8 +621,8 @@ let fuzz_cmd =
             "(testing) Make case $(docv) raise, exercising the failure \
              report and, with $(b,--resume), the crash-bundle path.")
   in
-  let run seed count shrink c margin jobs engine cross_engine oracle resume
-      deadline retries inject_hang inject_crash pkind =
+  let run seed count shrink c margin jobs engine oracle resume deadline
+      retries inject_hang inject_crash pkind =
     (* Provider-preservation fuzzing: any provider must leave the
        transformation semantics-preserving.  Profile is per-program
        (there is no profile file for a generated case), so only the
@@ -672,12 +646,9 @@ let fuzz_cmd =
     in
     let mode =
       match oracle with
-      | Some `Concrete -> Spf_fuzz.Oracle.Concrete (Some engine)
-      | Some `Cross -> Spf_fuzz.Oracle.Cross_engine
-      | Some `Symbolic -> Spf_fuzz.Oracle.Symbolic
-      | None ->
-          if cross_engine then Spf_fuzz.Oracle.Cross_engine
-          else Spf_fuzz.Oracle.Concrete (Some engine)
+      | `Concrete -> Spf_fuzz.Oracle.Concrete (Some engine)
+      | `Cross -> Spf_fuzz.Oracle.Cross_engine
+      | `Symbolic -> Spf_fuzz.Oracle.Symbolic
     in
     let campaign =
       Printf.sprintf "fuzz seed=%d count=%d c=%d oracle=%s margin=%s \
@@ -709,8 +680,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ seed_arg $ count_arg $ shrink_arg $ c_arg
-      $ assume_margin_arg $ jobs_arg $ engine_arg $ cross_engine_arg
-      $ oracle_arg $ resume_arg $ deadline_arg $ retries_arg
+      $ assume_margin_arg $ jobs_arg $ engine_arg $ oracle_arg $ resume_arg $ deadline_arg $ retries_arg
       $ inject_hang_arg $ inject_crash_arg $ provider_kind_arg)
 
 (* --- validate ---------------------------------------------------------- *)
@@ -964,15 +934,33 @@ let replay_cmd =
             (Spf_harness.Bundle.meta_value b "engine")
             Spf_sim.Engine.of_string
         in
-        match Figures.replay_cell ~figure ~index ?engine () with
-        | cycles ->
-            Format.printf
-              "replay %s: clean — %s/%d re-ran (%d simulated cycles)@." dir
-              figure index cycles
-        | exception e ->
-            Format.printf "replay %s: crash reproduced: %s@." dir
-              (Printexc.to_string e);
-            exit 1)
+        (* The campaign's provider, which [spf fig] accepts only as
+           static or adaptive; a bundle without one predates the record
+           and came from a static campaign. *)
+        let provider =
+          match Spf_harness.Bundle.meta_value b "provider" with
+          | None | Some "static" -> Spf_core.Distance.Static
+          | Some "adaptive" ->
+              Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive
+          | Some p ->
+              Format.eprintf "spf replay: bundle records provider %S@." p;
+              exit 2
+        in
+        match Figures.cell ~figure ~index ~provider with
+        | Error msg ->
+            Format.eprintf "spf replay: %s@." msg;
+            exit 2
+        | Ok cell -> (
+            match cell (Runner.ctx_of_engine engine) with
+            | runs ->
+                Format.printf
+                  "replay %s: clean — %s/%d re-ran (%d simulated cycles)@."
+                  dir figure index
+                  (List.fold_left (fun n r -> n + Runner.cycles r) 0 runs)
+            | exception e ->
+                Format.printf "replay %s: crash reproduced: %s@." dir
+                  (Printexc.to_string e);
+                exit 1))
     | Some k ->
         Format.eprintf "spf replay: unknown bundle kind %S@." k;
         exit 2

@@ -1,7 +1,9 @@
 (* Pass configuration.  Defaults match the paper's evaluation setup:
    c = 64 for every system (§5), stride companion prefetches on (§4.3),
-   unbounded stagger depth, the prototype's direct-induction-index
-   restriction (§4.2), and loop hoisting (§4.6) enabled. *)
+   unbounded stagger depth, and loop hoisting (§4.6) enabled.  The
+   prototype's direct-induction-index restriction (§4.2) and the
+   post-emission dead-code sweep are not knobs: the pass always applies
+   them. *)
 
 type t = {
   c : int; (* look-ahead constant of eq. (1) *)
@@ -9,10 +11,6 @@ type t = {
   max_stagger : int; (* how many loads of a dependent chain to prefetch *)
   allow_pure_calls : bool; (* permit side-effect-free calls in slices (§4.1) *)
   hoist : bool; (* hoist inner-loop prefetches (§4.6) *)
-  require_direct_iv_index : bool; (* look-ahead array must be indexed by the
-                                     raw induction variable (§4.2) *)
-  cleanup : bool; (* run DCE after emission: duplicate-line elision can
-                     strand unused address-generation clones *)
   assume_margin : int; (* offsets <= this margin skip the fault-avoidance
                           clamp; only sound after Split has peeled the
                           last [margin] iterations (cf. ICC's hoisted
@@ -29,8 +27,6 @@ let default =
     max_stagger = max_int;
     allow_pure_calls = false;
     hoist = true;
-    require_direct_iv_index = true;
-    cleanup = true;
     assume_margin = 0;
     provider = Distance.Static;
   }
@@ -51,16 +47,12 @@ let canonical
       max_stagger;
       allow_pure_calls;
       hoist;
-      require_direct_iv_index;
-      cleanup;
       assume_margin;
       provider;
     } =
   Printf.sprintf
-    "c=%d stride=%b stagger=%d pure=%b hoist=%b direct=%b cleanup=%b \
-     margin=%d provider=%s"
-    c stride_companion max_stagger allow_pure_calls hoist
-    require_direct_iv_index cleanup assume_margin
+    "c=%d stride=%b stagger=%d pure=%b hoist=%b margin=%d provider=%s" c
+    stride_companion max_stagger allow_pure_calls hoist assume_margin
     (Format.asprintf "%a" Distance.pp provider)
 
 let digest t = Digest.to_hex (Digest.string (canonical t))

@@ -1,6 +1,7 @@
 (** Pass configuration.  {!default} matches the paper's evaluation setup
     ([c = 64], stride companions on, unbounded stagger, no calls, hoisting
-    on, direct induction-variable indexing required). *)
+    on).  The pass always requires direct induction-variable indexing
+    (§4.2) and always sweeps dead code after emission. *)
 
 type t = {
   c : int;  (** look-ahead constant of eq. (1) *)
@@ -13,12 +14,6 @@ type t = {
       (** permit side-effect-free calls inside prefetch slices — the
           extension discussed in §4.1 *)
   hoist : bool;  (** inner-loop prefetch hoisting (§4.6) *)
-  require_direct_iv_index : bool;
-      (** insist the look-ahead array is indexed by the raw induction
-          variable, as the paper's prototype does (§4.2) *)
-  cleanup : bool;
-      (** run dead-code elimination after emission (duplicate-line elision
-          can strand unused address-generation clones) *)
   assume_margin : int;
       (** offsets up to this margin skip the fault-avoidance clamp — only
           sound after {!Split} has peeled the last [margin] iterations

@@ -2,9 +2,10 @@
 
    Eq. 1 gives a static distance from machine-independent heuristics; the
    provider interface lets the same pass consume better evidence when it
-   exists — explicit per-loop overrides, a profiling run of the simulator,
-   or an online controller that re-tunes mid-run (the lotus SWPrefetching
-   pass exposes the same axis as `-prefetch-distance-provider`).
+   exists — per-loop choices, given explicitly or measured by a profiling
+   run of the simulator (both a [Fixed] table), or an online controller
+   that re-tunes mid-run (the lotus SWPrefetching pass exposes the same
+   axis as `-prefetch-distance-provider`).
 
    A provider answers one question per loop: with what constant term [c]
    should eq. 1 schedule this loop's chain, and should the loop be
@@ -27,7 +28,6 @@ type adaptive_params = {
 type provider =
   | Static
   | Fixed of { default_c : int option; per_loop : (int * int) list }
-  | Profile of { per_loop : (int * choice) list }
   | Adaptive of adaptive_params
 
 let default_adaptive = { window = 4096; min_c = 4; max_c = 512 }
@@ -35,7 +35,6 @@ let default_adaptive = { window = 4096; min_c = 4; max_c = 512 }
 let kind = function
   | Static -> "static"
   | Fixed _ -> "fixed"
-  | Profile _ -> "profile"
   | Adaptive _ -> "adaptive"
 
 (* [~default_c] is the pass-wide Config.c; [~header] identifies the loop by
@@ -49,10 +48,6 @@ let choose provider ~default_c ~header =
       | Some c when c <= 0 -> { c = 0; enabled = false } (* explicit off *)
       | Some c -> { c; enabled = true }
       | None -> { c = Option.value d ~default:default_c; enabled = true })
-  | Profile { per_loop } -> (
-      match List.assoc_opt header per_loop with
-      | Some ch -> ch
-      | None -> { c = default_c; enabled = true } (* unprofiled: eq. 1 *))
   | Adaptive _ ->
       (* Initial value only; the tuner owns the distance after that. *)
       { c = default_c; enabled = true }
@@ -64,14 +59,6 @@ let pp fmt = function
         (match default_c with Some c -> Printf.sprintf "c=%d" c | None -> "c=default")
         (String.concat ""
            (List.map (fun (h, c) -> Printf.sprintf ",bb%d=%d" h c) per_loop))
-  | Profile { per_loop } ->
-      Format.fprintf fmt "profile(%s)"
-        (String.concat ","
-           (List.map
-              (fun (h, ch) ->
-                Printf.sprintf "bb%d=%s" h
-                  (if ch.enabled then string_of_int ch.c else "off"))
-              per_loop))
   | Adaptive p ->
       Format.fprintf fmt "adaptive(window=%d,c=%d..%d)" p.window p.min_c
         p.max_c

@@ -16,12 +16,10 @@ type adaptive_params = {
 type provider =
   | Static  (** eq. 1 with the pass-wide [Config.c] — the paper's default *)
   | Fixed of { default_c : int option; per_loop : (int * int) list }
-      (** explicit per-loop-header overrides; an entry [<= 0] disables
+      (** per-loop-header choices, given explicitly or measured by a
+          profiling run ({!Profdata.provider}); an entry [<= 0] disables
           prefetching for that loop; loops without an entry use
-          [default_c] (falling back to [Config.c]) *)
-  | Profile of { per_loop : (int * choice) list }
-      (** choices measured by a profiling run (see {!Profdata});
-          unprofiled loops fall back to eq. 1 *)
+          [default_c] (falling back to [Config.c], eq. 1's default) *)
   | Adaptive of adaptive_params
       (** distances live in per-loop registers re-tuned online by the
           simulator's windowed controller ({!Spf_sim.Tuner}) *)
@@ -34,6 +32,6 @@ val choose : provider -> default_c:int -> header:int -> choice
     pre-pass function) is [header]. *)
 
 val kind : provider -> string
-(** ["static" | "fixed" | "profile" | "adaptive"]. *)
+(** ["static" | "fixed" | "adaptive"]. *)
 
 val pp : Format.formatter -> provider -> unit

@@ -223,9 +223,8 @@ let run ?(config = Config.default) ?(exclude_blocks = []) ?(strict = false)
       (* Duplicate-line elision can leave address-generation clones with no
          remaining users; sweep them so instruction-count reports (Fig 8)
          reflect the code a real backend would run. *)
-      (if config.Config.cleanup then
-         try ignore (Spf_ir.Simplify.dce func)
-         with exn -> record (Diag.of_exn Diag.Cleanup exn));
+      (try ignore (Spf_ir.Simplify.dce func)
+       with exn -> record (Diag.of_exn Diag.Cleanup exn));
       finish decisions
 
 let pp_report (func : Ir.func) fmt (r : report) =

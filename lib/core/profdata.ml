@@ -34,13 +34,14 @@ let signature_of func = Digest.to_hex (Digest.string (Ir.signature func))
 let make ~func ~machine ~default_c ~loops =
   { version; signature = signature_of func; machine; default_c; loops }
 
+(* A profile is a per-loop table: a disabled loop is an entry <= 0, and
+   an unprofiled loop falls back to eq. 1 with the pass-wide constant. *)
 let provider t =
-  Distance.Profile
+  Distance.Fixed
     {
+      default_c = None;
       per_loop =
-        List.map
-          (fun e -> (e.header, { Distance.c = e.c; enabled = e.enabled }))
-          t.loops;
+        List.map (fun e -> (e.header, if e.enabled then e.c else 0)) t.loops;
     }
 
 (* Writer. *)
@@ -222,13 +223,24 @@ let of_json j =
              re-run `spf profile`"
             v version));
   let entry e =
-    {
-      header = as_int "header" (field "header" e);
-      c = as_int "c" (field "c" e);
-      enabled = as_bool "enabled" (field "enabled" e);
-      accesses = as_int "accesses" (field "accesses" e);
-      misses = as_int "misses" (field "misses" e);
-    }
+    let e =
+      {
+        header = as_int "header" (field "header" e);
+        c = as_int "c" (field "c" e);
+        enabled = as_bool "enabled" (field "enabled" e);
+        accesses = as_int "accesses" (field "accesses" e);
+        misses = as_int "misses" (field "misses" e);
+      }
+    in
+    (* The provider table reads c <= 0 as "disabled", so an enabled loop
+       needs a positive distance. *)
+    if e.enabled && e.c <= 0 then
+      raise
+        (Bad
+           (Printf.sprintf "loop bb%d is enabled with c = %d; a prefetched \
+                            loop needs c >= 1"
+              e.header e.c));
+    e
   in
   {
     version = v;

@@ -35,10 +35,14 @@ val make :
     pre-pass program). *)
 
 val provider : t -> Distance.provider
-(** The {!Distance.Profile} provider carrying this profile's choices. *)
+(** The {!Distance.Fixed} table of this profile's choices: a disabled
+    loop maps to [0], and unprofiled loops fall back to eq. 1. *)
 
 val save : string -> t -> unit
 val load : string -> (t, string) result
+(** Refuses an unreadable or malformed file, another format version, and
+    a loop marked enabled with [c <= 0] (the provider table cannot
+    express it, and [spf profile -o] never writes one). *)
 
 val check : t -> func:Spf_ir.Ir.func -> machine:string -> (unit, string) result
 (** Reject a profile measured on a different program (signature mismatch)

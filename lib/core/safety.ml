@@ -157,10 +157,8 @@ let vet (a : Analysis.t) (config : Config.t) (cand : Dfs.candidate) :
                 v = cand.iv.iv_id && Indvar.is_loop_invariant func loop base
             | _ -> false
           in
-          if
-            config.Config.require_direct_iv_index
-            && not (List.for_all uses_iv_ok cand.slice)
-          then Error Indirect_iv_use
+          if not (List.for_all uses_iv_ok cand.slice) then
+            Error Indirect_iv_use
           else begin
             (* Store-alias scan over the whole loop (§4.2): address-
                generating loads are every chain load except the final

@@ -132,17 +132,18 @@ let run_auto ?(ctx = Runner.null_ctx) ?(config = Config.default) ~machine
   let b, _report, tuner = build_auto ~config ~machine bench in
   Runner.run_ctx ctx ?tuner ~machine b
 
-(* One sweep point: cycles of the pass-transformed benchmark at a fixed
+(* One sweep point: the run of the pass-transformed benchmark at a fixed
    global look-ahead constant. *)
 let measure ?(ctx = Runner.null_ctx) ~machine (bench : Benches.bench) ~c =
   let config = Config.with_c c Config.default in
-  let b = Benches.auto ~config (bench.Benches.plain ()) in
-  Runner.cycles (Runner.run_ctx ctx ~machine b)
+  Runner.run_ctx ctx ~machine (Benches.auto ~config (bench.Benches.plain ()))
 
 (* Sweep the candidates and pick the winner; ties resolve toward the
    front of [cs] (c = 64 first by default). *)
 let choose ?(ctx = Runner.null_ctx) ?(cs = candidates) ~machine bench =
-  let sweep = List.map (fun c -> (c, measure ~ctx ~machine bench ~c)) cs in
+  let sweep =
+    List.map (fun c -> (c, Runner.cycles (measure ~ctx ~machine bench ~c))) cs
+  in
   let best_c, _ =
     List.fold_left
       (fun (bc, bcy) (c, cy) -> if cy < bcy then (c, cy) else (bc, bcy))

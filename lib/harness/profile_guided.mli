@@ -57,9 +57,9 @@ val measure :
   machine:Spf_sim.Machine.t ->
   Benches.bench ->
   c:int ->
-  int
-(** Simulated cycles of the pass-transformed benchmark at global
-    look-ahead [c]. *)
+  Runner.result
+(** The run of the pass-transformed benchmark at global look-ahead
+    [c]. *)
 
 val choose :
   ?ctx:Runner.ctx ->

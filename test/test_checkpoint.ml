@@ -327,19 +327,62 @@ let test_fuzz_payload_roundtrip () =
        "bundle payload does not decode as a fuzz case (incompatible build?)")
     (fun () -> ignore (Replay.decode_payload "garbage"))
 
+(* The re-run [spf replay] makes of a "fig-cell" bundle: the cell's
+   total simulated cycles, or the reason the table refused it. *)
+let replay_total ~figure ~index ~provider =
+  Result.map
+    (fun cell ->
+      List.fold_left
+        (fun n r -> n + Spf_harness.Runner.cycles r)
+        0
+        (cell Spf_harness.Runner.null_ctx))
+    (Figures.cell ~figure ~index ~provider)
+
+let refused = function Ok _ -> false | Error _ -> true
+
 let test_figure_cell_replay () =
-  let cycles = Figures.replay_cell ~figure:"fig2" ~index:0 () in
-  Alcotest.(check bool) "fig2 cell 0 simulates" true (cycles > 0);
+  let static = Spf_core.Distance.Static in
+  (match replay_total ~figure:"fig2" ~index:0 ~provider:static with
+  | Ok cycles -> Alcotest.(check bool) "fig2 cell 0 simulates" true (cycles > 0)
+  | Error msg -> Alcotest.failf "fig2 cell 0 refused: %s" msg);
   Alcotest.(check bool)
     "unknown figure rejected" true
-    (match Figures.replay_cell ~figure:"fig99" ~index:0 () with
-    | _ -> false
-    | exception Failure _ -> true);
+    (refused (Figures.cell ~figure:"fig99" ~index:0 ~provider:static));
   Alcotest.(check bool)
     "out-of-range index rejected" true
-    (match Figures.replay_cell ~figure:"fig2" ~index:9999 () with
-    | _ -> false
-    | exception Failure _ -> true)
+    (refused (Figures.cell ~figure:"fig2" ~index:9999 ~provider:static));
+  Alcotest.(check bool)
+    "negative index rejected" true
+    (refused (Figures.cell ~figure:"fig2" ~index:(-1) ~provider:static))
+
+(* A fig cell replays under the provider its campaign ran with: fig10's
+   RA cell applies the pass, so the adaptive tuner moves its cycles off
+   the static total.  An unknown figure or index is refused by the table
+   lookup, before any cell is built or run. *)
+let test_fig_cell_replays_under_provider () =
+  let total provider =
+    match replay_total ~figure:"fig10" ~index:1 ~provider with
+    | Ok cycles -> cycles
+    | Error msg -> Alcotest.failf "fig10 cell 1 refused: %s" msg
+  in
+  let static = total Spf_core.Distance.Static in
+  Alcotest.(check int) "static total" 20_324_429 static;
+  let adaptive =
+    total (Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "adaptive total %d differs from static" adaptive)
+    true (adaptive <> static);
+  List.iter
+    (fun (figure, index) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%d refused" figure index)
+        true
+        (refused
+           (Figures.cell ~figure ~index
+              ~provider:
+                (Spf_core.Distance.Adaptive Spf_core.Distance.default_adaptive))))
+    [ ("ablation-flat", 0); ("fig10", 3) ]
 
 let suite =
   [
@@ -367,4 +410,6 @@ let suite =
       test_fuzz_payload_roundtrip;
     Alcotest.test_case "figure cells replay from the registry" `Quick
       test_figure_cell_replay;
+    Alcotest.test_case "fig cell replays under its campaign's provider"
+      `Quick test_fig_cell_replays_under_provider;
   ]

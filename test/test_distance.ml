@@ -30,19 +30,6 @@ let test_choose () =
   ck "fixed falls back to its default" (32, true) (pick fixed ~header:9);
   ck "fixed without default uses Config.c" (64, true)
     (pick (Distance.Fixed { default_c = None; per_loop = [] }) ~header:3);
-  let profile =
-    Distance.Profile
-      {
-        per_loop =
-          [
-            (3, { Distance.c = 48; enabled = true });
-            (4, { Distance.c = 0; enabled = false });
-          ];
-      }
-  in
-  ck "profiled loop uses its choice" (48, true) (pick profile ~header:3);
-  ck "profiled-off loop stays off" (0, false) (pick profile ~header:4);
-  ck "unprofiled loop falls back to eq. 1" (64, true) (pick profile ~header:9);
   ck "adaptive seeds with Config.c" (64, true)
     (pick (Distance.Adaptive Distance.default_adaptive) ~header:3)
 
@@ -83,10 +70,16 @@ let test_profdata_roundtrip () =
           | Ok () -> ()
           | Error e -> Alcotest.failf "rebuild changed the signature: %s" e);
           let provider = Profdata.provider pd' in
-          Alcotest.check choice "loops become Profile choices" (128, true)
+          Alcotest.(check bool)
+            "loops become the Fixed table's choices" true
+            (provider
+            = Distance.Fixed { default_c = None; per_loop = [ (1, 128); (2, 0) ] });
+          Alcotest.check choice "profiled loop uses its choice" (128, true)
             (pick provider ~header:1);
           Alcotest.check choice "disabled loops carried through" (0, false)
-            (pick provider ~header:2))
+            (pick provider ~header:2);
+          Alcotest.check choice "unprofiled loop falls back to eq. 1" (64, true)
+            (pick provider ~header:9))
 
 let expect_error name = function
   | Ok () -> Alcotest.failf "%s: expected rejection" name
@@ -138,6 +131,34 @@ let test_profdata_rejects_stale_version () =
           Alcotest.(check bool)
             (Printf.sprintf "names the version (%s)" msg)
             true (String.length msg > 10))
+
+(* A loop marked enabled with c <= 0 has no meaning in the provider
+   table (c <= 0 disables), and `spf profile -o` never writes one. *)
+let test_profdata_rejects_enabled_without_distance () =
+  let func = is_func () in
+  with_temp (fun path ->
+      Profdata.save path
+        (Profdata.make ~func ~machine:"Haswell" ~default_c:64
+           ~loops:
+             [
+               {
+                 Profdata.header = 1;
+                 c = 0;
+                 enabled = true;
+                 accesses = 10;
+                 misses = 5;
+               };
+             ]);
+      match Profdata.load path with
+      | Ok _ -> Alcotest.fail "enabled loop with c = 0 accepted"
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "names the loop (%s)" msg)
+            true
+            (String.ends_with
+               ~suffix:"loop bb1 is enabled with c = 0; a prefetched loop \
+                        needs c >= 1"
+               msg))
 
 let test_profdata_load_missing () =
   match Profdata.load "/nonexistent/spf-profile.json" with
@@ -230,4 +251,6 @@ let suite =
       test_fixed_disable_suppresses_prefetches;
     Alcotest.test_case "adaptive is bit-deterministic" `Quick
       test_adaptive_deterministic;
+    Alcotest.test_case "profdata refuses an enabled loop without a distance"
+      `Quick test_profdata_rejects_enabled_without_distance;
   ]
